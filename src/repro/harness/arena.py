@@ -30,15 +30,18 @@ One quantum is then:
    ``n = max(budget, 0) / (mean_lat + delay)`` over all segments at
    once -- the identical scalar operations the per-process path
    performs, evaluated element-wise (bit-identical per segment),
-3. one *aggregate fault draw*: active (hot) protected candidates from
-   all segments share one concatenated Bernoulli draw
-   (``np.add.reduceat`` recovers per-segment touch counts), and the
-   dormant tails merge into a single ``K ~ Poisson(sum_i n_i *
-   dormant_mass_i)`` draw partitioned back to segments by a two-level
-   inverse-CDF lookup -- exact by Poisson superposition / thinning.
-   When exactly one segment is fault-eligible the draw delegates to the
-   per-process sampler with the process's own stream, keeping
-   single-process arenas bit-identical to the reference mode,
+3. one *aggregate fault draw* from the arena's :class:`FaultPlan`:
+   active (hot) protected pages of every segment share one Bernoulli
+   vector, dormant ones one ``K ~ Poisson(sum_i n_i * mass_i)`` draw
+   placed by an n-weighted inverse CDF -- exact by Poisson
+   superposition / thinning.  The plan's upkeep is O(changes): resolved
+   faults tombstone their slots in place, and per-page-state
+   protection-change logs feed appends and tombstones for the segments
+   whose protect-epoch witness moved.  All touched pages get their
+   fault offsets in one pass; each faulting process still gets one
+   ``FaultBatch`` through ``Kernel.deliver_faults``, in segment order.
+   Single-process arenas have no plan and keep the per-process sampler
+   with the process's own stream (bit-identical to the reference mode),
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
@@ -51,9 +54,10 @@ One quantum is then:
 Equivalence contract (``docs/SIMULATION.md`` section 7): a
 single-process arena executes the same IEEE-754 operations in the same
 order as the per-process fast path, so its trajectory is bit-identical;
-multi-process arenas share one aggregate fault stream (the
-``engine.arena`` RNG) instead of per-process streams, so they match the
-per-process mode statistically (same laws), not bit for bit.
+multi-process arenas draw touches and fault times from the fault plan's
+one stream (the ``engine.arena`` RNG) instead of per-process streams,
+so they match the per-process mode statistically (same laws), not bit
+for bit.
 ``arena=False`` keeps the per-process path as the reference mode for
 equivalence gating.
 
@@ -86,11 +90,9 @@ per-class work:
   (:meth:`class_ledger_runs`); each segment's share drains lazily with
   its own ``n_i`` -- exact thinning by linearity of
   ``defer_accesses``,
-* *faults*: the aggregate Bernoulli-head + Poisson-tail draw reuses
-  cached per-segment fault plans keyed on the protect-epoch witness,
-  and partitions draws to members through the existing two-level
-  inverse-CDF -- the same RNG sequence as the uninterned batched draw,
-  bit for bit.
+* *faults*: the interned step draws from the same :class:`FaultPlan`
+  as the uninterned step, with the same stream and the same upkeep, so
+  its fault draws match the uninterned step's bit for bit.
 
 Contract: when every class is a singleton (all distributions distinct)
 the interned step consumes the same IEEE-754 operations and RNG stream
@@ -111,8 +113,8 @@ from repro.analysis.latency import LatencyMixture
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
-from repro.sim.jit import price_fold, searchsorted_right
-from repro.vm.fault import take_hint_faults
+from repro.sim.jit import price_fold
+from repro.vm.fault import FaultBatch, first_access_offsets
 from repro.workloads.base import Workload, distribution_fingerprint
 
 
@@ -222,11 +224,6 @@ class ProcessArena:
         self._acc_fast = np.zeros(n_segs, dtype=np.float64)
         self._acc_user = np.zeros(n_segs, dtype=np.float64)
         self._acc_stall = np.zeros(n_segs, dtype=np.float64)
-        #: per-segment engine fault buffers, resolved once -- the
-        #: engine's per-pid dict lookup is measurable at fleet size
-        self._seg_buffers = [
-            engine._buffers_for(p) for p in self.processes
-        ]
         #: vector mirror of ``mass_epoch`` (interned mode only); kept
         #: ``None`` in reference mode so the write-through helper is a
         #: single cheap branch there
@@ -266,8 +263,20 @@ class ProcessArena:
         # bitwise no-op the fold may skip (the flush skips zero counts
         # regardless).  Refreshed whenever the fold recomputes.
         self._fold_zero = [False] * (2 * n_tiers)
+        #: witness cells: column ``i`` mirrors segment ``i``'s
+        #: ``(epoch, protect_epoch, n_protected)`` (written through by its
+        #: ``PageState``), so staleness and fault eligibility are vector
+        #: compares
+        self._cells = np.zeros((3, n_segs), dtype=np.int64)
+        for i, proc in enumerate(self.processes):
+            proc.pages.set_witness_cells(self._cells, i)
         self._build_masses()
         self._attach_ledger_sources()
+        #: the fleet-wide fault plan; single-segment arenas keep the
+        #: per-process sampler (bit-identical to the per-process path)
+        self.plan: Optional[FaultPlan] = (
+            FaultPlan(self) if n_segs > 1 else None
+        )
         if self.intern:
             self._build_intern()
 
@@ -334,15 +343,11 @@ class ProcessArena:
         per-segment pricing.
         """
         n_segs = self.n_segs
-        cells = self._cells = np.zeros((3, n_segs), dtype=np.int64)
         debt = self._debt_cells = np.zeros(n_segs, dtype=np.float64)
         for i, proc in enumerate(self.processes):
-            proc.pages.set_witness_cells(cells, i)
             proc.set_debt_cell(debt, i)
         self._mass_epoch_vec = np.array(self.mass_epoch, dtype=np.int64)
         self._stale_buf = np.zeros(n_segs, dtype=bool)
-        self._elig_buf = np.zeros(n_segs, dtype=bool)
-        self._prot_buf = np.zeros(n_segs, dtype=bool)
         # Witness storage becomes int64 vectors: the fusion update is
         # then two vector copies from the cell matrix per quantum
         # instead of a per-row loop.
@@ -406,15 +411,6 @@ class ProcessArena:
         self._interned_idx = np.flatnonzero(self._class_of >= 0)
         self._single_idx = np.flatnonzero(self._class_of < 0)
         self.interned_segments = int(self._interned_idx.size)
-        # Cached fault plans: per-segment active/dormant split keyed on
-        # the protect-epoch witness; -1 marks "never built".
-        self._fault_entry_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self._active_size = np.zeros(n_segs, dtype=np.int64)
-        self._dormant_mass_vec = np.zeros(n_segs, dtype=np.float64)
-        self._entry_protected: List[Optional[np.ndarray]] = (
-            [None] * n_segs
-        )
-        self._active_cache: Optional[tuple] = None
 
     def _make_drain(self, i: int):
         def drain() -> None:
@@ -429,7 +425,8 @@ class ProcessArena:
         return has_pending
 
     def detach(self) -> None:
-        """Drain every segment and unhook the ledger sources.
+        """Drain every segment and unhook the ledger sources, witness
+        cells and protection-change logs, and release the fault plan.
 
         Called at the end of each engine run so processes hold no
         references into a stale arena (results may outlive the engine,
@@ -439,9 +436,11 @@ class ProcessArena:
         for i, proc in enumerate(self.processes):
             self._drain_seg(i)
             proc.pages.set_ledger_source(None, None)
+            proc.pages.set_witness_cells(None)
+            proc.pages.set_protect_log(False)
             if self.intern:
-                proc.pages.set_witness_cells(None)
                 proc.set_debt_cell(None)
+        self.plan = None
 
     def flush_stats(self) -> None:
         """Fold the lazily accumulated quantum stats into each process.
@@ -688,9 +687,9 @@ class ProcessArena:
         self._wf[i] = workload.write_fraction
         self._delay[i] = workload.delay_ns_per_access
         self._note_mass_update(i, -1)  # force recount
-        if self.intern:
-            # The cached fault plan holds the old distribution.
-            self._fault_entry_epoch[i] = -1
+        if self.plan is not None:
+            # The plan's slots carry the old distribution's rates.
+            self.plan.resync[i] = True
 
     def _resolve_policy_hook(self, policy: Any):
         """The policy's ``on_quantum`` binding, or ``None`` when it keeps
@@ -797,53 +796,9 @@ class ProcessArena:
         if profiler is not None:
             profiler.pop()
 
-        # ---- Phase 3: aggregate fault draw ----------------------------------
+        # ---- Phase 3: fault draw --------------------------------------------
         faults = self._faults
-        have_faults = False
-        eligible = [
-            row[0]
-            for row in rows
-            if n_list[row[0]] > 0.0 and row[3].n_protected > 0
-        ]
-        if eligible:
-            faults.fill(0.0)
-            have_faults = True
-            procs = self.processes
-            if profiler is not None:
-                profiler.push("fault_partition")
-            try:
-                if len(eligible) == 1:
-                    # One eligible segment: the per-process sampler with
-                    # the process's own stream -- bit-identical to the
-                    # per-process fast path.
-                    i = eligible[0]
-                    proc = procs[i]
-                    faults[i] = engine._sample_hint_faults(
-                        proc,
-                        proc.pages,
-                        refs[i],
-                        self._seg_buffers[i],
-                        n_list[i],
-                        start_ns,
-                        quantum_ns,
-                    )
-                else:
-                    self._batched_faults(
-                        eligible, n_vec, faults, start_ns, quantum_ns
-                    )
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-            # Fault-path promotions moved pages: repair the affected
-            # rows so accounting prices the post-fault placement, the
-            # same re-lookup the per-process path performs.
-            stale = [
-                (i, procs[i])
-                for i in eligible
-                if m_epoch[i] != procs[i].pages.epoch
-            ]
-            if stale:
-                self._repair_mass_many(stale)
+        have_faults = self._fault_phase(start_ns, quantum_ns)
 
         # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
         if profiler is not None:
@@ -1086,53 +1041,9 @@ class ProcessArena:
         if profiler is not None:
             profiler.pop()
 
-        # ---- Phase 3: aggregate fault draw ----------------------------------
+        # ---- Phase 3: fault draw --------------------------------------------
         faults = self._faults
-        have_faults = False
-        elig_buf = self._elig_buf
-        np.greater(n_vec, 0.0, out=elig_buf)
-        np.greater(cells[2], 0, out=self._prot_buf)
-        elig_buf &= self._prot_buf
-        eligible = np.flatnonzero(elig_buf)
-        if eligible.size:
-            faults.fill(0.0)
-            have_faults = True
-            if profiler is not None:
-                profiler.push("fault_partition")
-            try:
-                if eligible.size == 1:
-                    # One eligible segment: the per-process sampler with
-                    # the process's own stream -- the reference path's
-                    # delegation, kept verbatim.
-                    i = int(eligible[0])
-                    proc = procs[i]
-                    faults[i] = engine._sample_hint_faults(
-                        proc,
-                        proc.pages,
-                        refs[i],
-                        self._seg_buffers[i],
-                        float(n_vec[i]),
-                        start_ns,
-                        quantum_ns,
-                    )
-                else:
-                    self._batched_faults_planned(
-                        eligible, n_vec, faults, start_ns, quantum_ns
-                    )
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-            # Post-fault repair stays restricted to the eligible set:
-            # repairing other segments here would change the phase 4-6
-            # inputs relative to the reference step.
-            post = eligible[
-                cells[0][eligible] != self._mass_epoch_vec[eligible]
-            ]
-            if post.size:
-                self._repair_mass_many(
-                    [(int(k), procs[k]) for k in post.tolist()]
-                )
-                self._ss_valid = False
+        have_faults = self._fault_phase(start_ns, quantum_ns)
 
         # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
         if profiler is not None:
@@ -1205,164 +1116,6 @@ class ProcessArena:
             self._retire_rows()
         return self._demand_out
 
-    def _batched_faults_planned(
-        self,
-        eligible: np.ndarray,
-        n_vec: np.ndarray,
-        faults: np.ndarray,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> None:
-        """The cached-plan aggregate fault draw (interned step).
-
-        Identical RNG/FP sequence to :meth:`_batched_faults`; the
-        difference is purely which work is *re-derived* per quantum.
-        The per-segment active/dormant split is re-examined only when
-        the protect-epoch witness moved (every snapshot replacement
-        bumps the protect epoch, so the witness is conservative-
-        complete; the identity check inside the re-examination then
-        reproduces the reference path's rebuild decision exactly), and
-        the concatenated active-rate vector is cached while the
-        eligible set and its plan epochs are unchanged.
-        """
-        engine = self.engine
-        procs = self.processes
-        rng = self.rng
-        seg_buffers = self._seg_buffers
-        prot_epochs = self._cells[1]
-        entry_epoch = self._fault_entry_epoch
-        stale = eligible[prot_epochs[eligible] != entry_epoch[eligible]]
-        for k in stale.tolist():
-            proc = procs[k]
-            pages = proc.pages
-            protected = pages.protected_pages()
-            buffers = seg_buffers[k]
-            probs = self.probs_refs[k]
-            if protected.size and (
-                buffers.fault_probs is not probs
-                or buffers.fault_prot is not protected
-            ):
-                engine._rebuild_fault_cache(
-                    buffers, probs, protected, float(n_vec[k])
-                )
-            self._entry_protected[k] = protected
-            if protected.size:
-                self._active_size[k] = buffers.active_p.size
-                self._dormant_mass_vec[k] = buffers.dormant_mass
-            else:
-                self._active_size[k] = 0
-                self._dormant_mass_vec[k] = 0.0
-            entry_epoch[k] = pages.protect_epoch
-        masks: Dict[int, np.ndarray] = {}
-        # Active head: one concatenated Bernoulli draw over the cached
-        # per-segment rate vectors.
-        a_segs = eligible[self._active_size[eligible] > 0]
-        if a_segs.size:
-            cache = self._active_cache
-            if (
-                cache is not None
-                and np.array_equal(cache[0], a_segs)
-                and np.array_equal(cache[1], entry_epoch[a_segs])
-            ):
-                concat_p, sizes, starts = cache[2], cache[3], cache[4]
-            else:
-                sizes = self._active_size[a_segs]
-                parts = [
-                    seg_buffers[k].active_p for k in a_segs.tolist()
-                ]
-                concat_p = (
-                    np.concatenate(parts)
-                    if len(parts) > 1
-                    else parts[0]
-                )
-                starts = np.zeros(sizes.size, dtype=np.int64)
-                np.cumsum(sizes[:-1], out=starts[1:])
-                self._active_cache = (
-                    a_segs.copy(),
-                    entry_epoch[a_segs].copy(),
-                    concat_p,
-                    sizes,
-                    starts,
-                )
-            # Per element this is the reference path's n_i * active_p
-            # (the concat/multiply order commutes exactly).
-            lam = concat_p * np.repeat(n_vec[a_segs], sizes)
-            touched = rng.random(lam.size) < -np.expm1(-lam)
-            counts = np.add.reduceat(touched, starts)
-            for j in np.flatnonzero(counts).tolist():
-                k = int(a_segs[j])
-                buffers = seg_buffers[k]
-                off = int(starts[j])
-                hits = np.flatnonzero(touched[off : off + int(sizes[j])])
-                mask = masks.get(k)
-                if mask is None:
-                    mask = buffers.touched_mask
-                    mask[:] = False
-                    masks[k] = mask
-                mask[buffers.active_pos[hits]] = True
-        # Dormant tail: one aggregate Poisson draw, two-level partition.
-        dm = self._dormant_mass_vec[eligible]
-        d_pick = dm > 0.0
-        d_segs = eligible[d_pick]
-        if d_segs.size:
-            rates = n_vec[d_segs] * dm[d_pick]
-            total_rate = float(rates.sum())
-            if total_rate > 0.0:
-                k_draws = int(rng.poisson(total_rate))
-                if k_draws:
-                    cum = np.cumsum(rates)
-                    draws = rng.random(k_draws) * total_rate
-                    seg_pick = searchsorted_right(cum, draws)
-                    np.minimum(seg_pick, rates.size - 1, out=seg_pick)
-                    counts = np.bincount(seg_pick, minlength=rates.size)
-                    order = np.argsort(seg_pick, kind="stable")
-                    sorted_draws = draws[order]
-                    bounds = np.cumsum(counts)
-                    for j in np.flatnonzero(counts).tolist():
-                        count = int(counts[j])
-                        hi = int(bounds[j])
-                        sel = sorted_draws[hi - count : hi]
-                        base = float(cum[j] - rates[j])
-                        seg = int(d_segs[j])
-                        buffers = seg_buffers[seg]
-                        values = (sel - base) / float(n_vec[seg])
-                        hits = searchsorted_right(
-                            buffers.dormant_cdf, values
-                        )
-                        np.minimum(
-                            hits,
-                            buffers.dormant_cdf.size - 1,
-                            out=hits,
-                        )
-                        mask = masks.get(seg)
-                        if mask is None:
-                            mask = buffers.touched_mask
-                            mask[:] = False
-                            masks[seg] = mask
-                        mask[buffers.dormant_pos[hits]] = True
-        # Deliver per segment, ascending order (the per-process order).
-        for seg in sorted(masks):
-            buffers = seg_buffers[seg]
-            proc = procs[seg]
-            protected = self._entry_protected[seg]
-            mask = masks[seg]
-            touched_vpns = protected[mask]
-            rates_per_ns = (
-                float(n_vec[seg]) * buffers.prot_p[mask] / quantum_ns
-            )
-            np.logical_not(mask, out=mask)
-            batch = take_hint_faults(
-                proc,
-                touched_vpns,
-                start_ns,
-                quantum_ns,
-                proc.rng,
-                rates_per_ns=rates_per_ns,
-                cache_remainder=protected[mask],
-            )
-            self.kernel.deliver_faults(proc, batch)
-            faults[seg] = batch.n_faults
-
     # ------------------------------------------------------------------
     # Interning introspection
     # ------------------------------------------------------------------
@@ -1401,163 +1154,52 @@ class ProcessArena:
         return out
 
     # ------------------------------------------------------------------
-    def _batched_faults(
-        self,
-        eligible: List[int],
-        n_vec: np.ndarray,
-        faults: np.ndarray,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> None:
-        """One aggregate fault draw across all eligible segments.
-
-        Active candidates: concatenate per-segment Bernoulli rates and
-        draw one uniform vector (``np.add.reduceat`` recovers the
-        per-segment touch counts).  Dormant tails: one
-        ``Poisson(sum_i n_i * dormant_mass_i)`` count, placed first into
-        segments by inverse-CDF over the per-segment rates, then onto
-        pages by each segment's dormant CDF -- exact by Poisson
-        superposition and thinning.  Fault timestamps still come from
-        each process's own stream (``take_hint_faults``).
-        """
-        engine = self.engine
-        procs = self.processes
-        rng = self.rng
-        entries = []  # (seg, proc, protected, buffers)
-        seg_buffers = self._seg_buffers
-        for i in eligible:
-            proc = procs[i]
-            pages = proc.pages
-            protected = pages.protected_pages()
-            if not protected.size:
-                continue
-            probs = self.probs_refs[i]
-            buffers = seg_buffers[i]
-            if (
-                buffers.fault_probs is not probs
-                or buffers.fault_prot is not protected
-            ):
-                engine._rebuild_fault_cache(
-                    buffers, probs, protected, float(n_vec[i])
+    def _fault_phase(self, start_ns: int, quantum_ns: int) -> bool:
+        """Phase 3: draw, resolve and deliver this quantum's hint faults
+        into ``_faults``; returns whether any segment was eligible
+        (positive accesses and protected pages)."""
+        n_vec, cells = self._n, self._cells
+        eligible = np.flatnonzero((n_vec > 0.0) & (cells[2] > 0))
+        if not eligible.size:
+            return False
+        faults = self._faults
+        faults.fill(0.0)
+        profiler = self.kernel.profiler
+        if profiler is not None:
+            profiler.push("fault_partition")
+        try:
+            if self.plan is not None:
+                self.plan.draw(n_vec, faults, start_ns, quantum_ns)
+            else:
+                # One segment: the per-process sampler with the process's
+                # own stream -- bit-identical to the per-process path.
+                proc = self.processes[0]
+                faults[0] = self.engine._sample_hint_faults(
+                    proc,
+                    proc.pages,
+                    self.probs_refs[0],
+                    self.engine._buffers_for(proc),
+                    float(n_vec[0]),
+                    start_ns,
+                    quantum_ns,
                 )
-            entries.append((i, proc, protected, buffers))
-        if not entries:
-            return
-        masks: Dict[int, np.ndarray] = {}
-
-        def mask_for(entry) -> np.ndarray:
-            seg = entry[0]
-            mask = masks.get(seg)
-            if mask is None:
-                mask = entry[3].touched_mask
-                mask[:] = False
-                masks[seg] = mask
-            return mask
-
-        # Active head: one concatenated Bernoulli draw.
-        active_entries = [e for e in entries if e[3].active_p.size]
-        if active_entries:
-            lam_parts = [
-                n_vec[e[0]] * e[3].active_p for e in active_entries
-            ]
-            lam = (
-                np.concatenate(lam_parts)
-                if len(lam_parts) > 1
-                else lam_parts[0]
-            )
-            touched = rng.random(lam.size) < -np.expm1(-lam)
-            sizes = np.array(
-                [part.size for part in lam_parts], dtype=np.int64
-            )
-            starts = np.zeros(sizes.size, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            counts = np.add.reduceat(touched, starts)
-            offset = 0
-            for entry, size, count in zip(
-                active_entries, sizes, counts
-            ):
-                if count:
-                    hits = np.flatnonzero(
-                        touched[offset : offset + size]
-                    )
-                    mask_for(entry)[entry[3].active_pos[hits]] = True
-                offset += int(size)
-        # Dormant tail: one aggregate Poisson draw, two-level partition.
-        dormant_entries = [
-            e for e in entries if e[3].dormant_mass > 0.0
+        finally:
+            if profiler is not None:
+                profiler.pop()
+        # Fault-path promotions moved pages: repair the eligible rows so
+        # accounting prices the post-fault placement, the re-lookup the
+        # per-process path performs.  Repairing other rows here would
+        # change the later phases' inputs against the per-process path.
+        m_epoch = self.mass_epoch
+        stale = [
+            (i, self.processes[i])
+            for i in eligible.tolist()
+            if m_epoch[i] != cells[0, i]
         ]
-        if dormant_entries:
-            rates = np.array(
-                [
-                    n_vec[e[0]] * e[3].dormant_mass
-                    for e in dormant_entries
-                ],
-                dtype=np.float64,
-            )
-            total_rate = float(rates.sum())
-            if total_rate > 0.0:
-                k = int(rng.poisson(total_rate))
-                if k:
-                    cum = np.cumsum(rates)
-                    draws = rng.random(k) * total_rate
-                    seg_pick = searchsorted_right(cum, draws)
-                    np.minimum(
-                        seg_pick, rates.size - 1, out=seg_pick
-                    )
-                    counts = np.bincount(
-                        seg_pick, minlength=rates.size
-                    )
-                    order = np.argsort(seg_pick, kind="stable")
-                    sorted_draws = draws[order]
-                    bounds = np.cumsum(counts)
-                    for j, entry in enumerate(dormant_entries):
-                        count = int(counts[j])
-                        if not count:
-                            continue
-                        hi = int(bounds[j])
-                        sel = sorted_draws[hi - count : hi]
-                        base = float(cum[j] - rates[j])
-                        # Conditioned on its segment band, a draw is
-                        # uniform on [0, rate_j); rescaling by n_j
-                        # yields the per-process uniform-on-
-                        # [0, dormant_mass) placement law.
-                        values = (sel - base) / float(
-                            n_vec[entry[0]]
-                        )
-                        buffers = entry[3]
-                        hits = searchsorted_right(
-                            buffers.dormant_cdf, values
-                        )
-                        np.minimum(
-                            hits,
-                            buffers.dormant_cdf.size - 1,
-                            out=hits,
-                        )
-                        mask_for(entry)[
-                            buffers.dormant_pos[hits]
-                        ] = True
-        # Deliver per segment, ascending order (the per-process order).
-        for entry in entries:
-            i, proc, protected, buffers = entry
-            mask = masks.get(i)
-            if mask is None:
-                continue
-            touched_vpns = protected[mask]
-            rates_per_ns = (
-                float(n_vec[i]) * buffers.prot_p[mask] / quantum_ns
-            )
-            np.logical_not(mask, out=mask)
-            batch = take_hint_faults(
-                proc,
-                touched_vpns,
-                start_ns,
-                quantum_ns,
-                proc.rng,
-                rates_per_ns=rates_per_ns,
-                cache_remainder=protected[mask],
-            )
-            self.kernel.deliver_faults(proc, batch)
-            faults[i] = batch.n_faults
+        if stale:
+            self._repair_mass_many(stale)
+            self._ss_valid = False
+        return True
 
     # ------------------------------------------------------------------
     def _fold_latency(
@@ -1672,3 +1314,328 @@ class ProcessArena:
                     )
                 pid_mix.add_keyed(key, count)
         store.clear()
+
+
+def _fit(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr`` itself, or a geometrically grown copy holding ``n``."""
+    if n <= arr.size:
+        return arr
+    out = np.empty(max(n, 2 * arr.size), dtype=arr.dtype)
+    out[: arr.size] = arr
+    return out
+
+
+class FaultPlan:
+    """One hint-fault plan over a multi-segment arena's address space.
+
+    Every protected page owns one *slot*.  Pages whose per-quantum touch
+    probability was at least ``FAULT_DORMANT_MAX_TOUCH`` when they
+    entered get an *active* slot and one Bernoulli draw
+    ``1 - exp(-n_i p)`` each; the rest share *dormant* slots and one
+    ``Poisson`` draw placed by inverse CDF.  The dormant CDF is a plain
+    cumulative sum of ``p`` over consecutive *chunks* (runs of slots of
+    one segment), so weighting it by each segment's own ``n_i`` is one
+    O(chunks) cumsum per draw: a draw picks a chunk by its weighted
+    band, and its offset in the band over ``n_i`` is a point of the
+    chunk's own CDF.  Both laws give every page
+    ``P(touched) = 1 - exp(-n_i p)``, independently.
+
+    Upkeep is O(changes) per quantum.  Pages the resolve unprotects, and
+    pages the protection-change logs report unprotected, are tombstoned
+    in place: an active slot's rate drops to zero, a dormant slot keeps
+    its CDF band and draws landing on it are discarded (Poisson
+    thinning, exact).  Pages the logs report protected are appended.  A
+    segment is resynced from its ``prot_none`` before the first draw,
+    after a distribution swap and when its log overflowed.  The slot
+    tables are rebuilt -- from the live slots, in one vectorised pass --
+    only when dead slots outnumber live ones or the chunk table outgrows
+    the fleet; the active table alone is compacted whenever its dead
+    slots outnumber its live ones.
+    """
+
+    def __init__(self, arena: ProcessArena) -> None:
+        self.arena = arena
+        self.processes = arena.processes
+        self.seg_starts = arena.seg_starts
+        self.cells = arena._cells
+        self.rng = arena.rng
+        self.max_touch = arena.engine.FAULT_DORMANT_MAX_TOUCH
+        #: page -> slot: ``s + 1`` for active slot ``s``, ``-(s + 1)``
+        #: for dormant slot ``s``, 0 for none
+        self.slot_of = np.zeros(int(arena.seg_starts[-1]), dtype=np.int32)
+        #: all-False scratch mask over one segment (log deduplication)
+        self.mark = np.zeros(
+            int(np.diff(arena.seg_starts).max(initial=0)), dtype=bool
+        )
+        #: active slots: global page (-1 once dead), segment, probability
+        self.a_page = np.empty(0, dtype=np.int64)
+        self.a_seg = np.empty(0, dtype=np.int64)
+        self.a_p = np.empty(0, dtype=np.float64)
+        #: dormant slots: global page (-1 once dead), cumulative ``p``
+        self.d_page = np.empty(0, dtype=np.int64)
+        self.d_cum = np.empty(0, dtype=np.float64)
+        #: dormant chunks, consecutive runs covering every dormant slot:
+        #: segment and end slot (exclusive)
+        self.c_seg = np.empty(0, dtype=np.int64)
+        self.c_end = np.empty(0, dtype=np.int64)
+        self.a_n = self.d_n = self.c_n = 0
+        #: live slots (``a_live`` of them active) and dead slots
+        self.live = self.a_live = self.dead = 0
+        #: protect epoch each segment's log was last drained at, and the
+        #: segments to re-read from ``prot_none`` (all, before the first
+        #: draw; then those whose distribution swapped)
+        self.seen = np.zeros(arena.n_segs, dtype=np.int64)
+        self.resync = np.ones(arena.n_segs, dtype=bool)
+        self.max_chunks = 2 * arena.n_segs + 64
+        #: monotonic counters, drained by :meth:`take_counters`
+        self.rebuilds = self.resyncs = 0
+        self.appended = self.tombstoned = 0
+        for proc in self.processes:
+            proc.pages.set_protect_log(True)
+
+    def take_counters(self) -> Dict[str, int]:
+        """Counter deltas since the last call, keyed by metric name."""
+        out = {
+            "arena.fault_plan_rebuilds": self.rebuilds,
+            "arena.fault_plan_resyncs": self.resyncs,
+            "arena.fault_plan_appended": self.appended,
+            "arena.fault_plan_tombstoned": self.tombstoned,
+        }
+        self.rebuilds = self.resyncs = 0
+        self.appended = self.tombstoned = 0
+        return out
+
+    # ------------------------------------------------------------------
+    # Upkeep
+    # ------------------------------------------------------------------
+    def _rebuild(self, n_vec: np.ndarray) -> None:
+        """Rebuild the slot tables from the live slots alone: dead slots
+        go, chunks merge, and the active/dormant split is redone at the
+        current ``n``."""
+        self.rebuilds += 1
+        live = np.flatnonzero(self.slot_of)
+        self.a_n = self.d_n = self.c_n = 0
+        self.live = self.a_live = self.dead = 0
+        self._append(live, n_vec)
+
+    def _compact_active(self) -> None:
+        """Drop the dead active slots.  Hot pages churn fastest -- they
+        fault within a quantum or two of their protection -- so the
+        active table fills with tombstones long before the dormant one
+        does, and every dead active slot costs one Bernoulli draw."""
+        n = self.a_n
+        keep = np.flatnonzero(self.a_page[:n] >= 0)
+        for name in ("a_page", "a_seg", "a_p"):
+            arr = getattr(self, name)
+            arr[: keep.size] = arr[keep]
+        self.slot_of[self.a_page[: keep.size]] = np.arange(1, keep.size + 1)
+        self.dead -= n - keep.size
+        self.a_n = keep.size
+
+    def _apply_changes(self, n_vec: np.ndarray) -> None:
+        """Drain the logs of segments whose protect epoch moved."""
+        epochs = self.cells[1]
+        todo = np.flatnonzero((epochs != self.seen) | self.resync)
+        if not todo.size:
+            return
+        slot_of = self.slot_of
+        kills, adds = [], []
+        for i in todo.tolist():
+            pages = self.processes[i].pages
+            lo = int(self.seg_starts[i])
+            log = pages.take_protect_log()
+            if log is None or self.resync[i]:
+                self.resyncs += 1
+                hi = int(self.seg_starts[i + 1])
+                kills.append(np.flatnonzero(slot_of[lo:hi]) + lo)
+                adds.append(np.flatnonzero(pages.prot_none) + lo)
+            elif log:
+                vpns = log[0]
+                if len(log) > 1:
+                    # Sorted and duplicate-free through the scratch mask:
+                    # one pass over the segment instead of a sort.
+                    mark = self.mark[: int(self.seg_starts[i + 1]) - lo]
+                    mark[np.concatenate(log)] = True
+                    vpns = np.flatnonzero(mark)
+                    mark[vpns] = False
+                on = pages.prot_none[vpns]
+                g = vpns + lo
+                has = slot_of[g] != 0
+                kills.append(g[has & ~on])
+                adds.append(g[on & ~has])
+        self.seen[todo] = epochs[todo]
+        self.resync[todo] = False
+        if kills:
+            self._tombstone(np.concatenate(kills))
+        if adds:
+            added = np.concatenate(adds)
+            self.appended += added.size
+            self._append(added, n_vec)
+
+    def _tombstone(self, g: np.ndarray) -> None:
+        slots = self.slot_of[g]
+        active = slots[slots > 0] - 1
+        self.a_page[active] = -1
+        self.a_p[active] = 0.0
+        self.a_live -= active.size
+        self.d_page[-slots[slots < 0] - 1] = -1
+        self.slot_of[g] = 0
+        self.live -= g.size
+        self.dead += g.size
+        self.tombstoned += g.size
+
+    def _append(self, g: np.ndarray, n_vec: np.ndarray) -> None:
+        """Give slots to pages ``g`` (ascending global indices)."""
+        if not g.size:
+            return
+        seg = np.searchsorted(self.seg_starts, g, side="right") - 1
+        p = self.arena.concat_probs[g]
+        # The split only steers cost (both laws are exact): the
+        # per-process path's ``0.02 / n`` cut at the segment's current n.
+        active = p >= self.max_touch / np.maximum(n_vec[seg], 1.0)
+        ga = g[active]
+        if ga.size:
+            a0, a1 = self.a_n, self.a_n + ga.size
+            self.a_page = _fit(self.a_page, a1)
+            self.a_seg = _fit(self.a_seg, a1)
+            self.a_p = _fit(self.a_p, a1)
+            self.a_page[a0:a1] = ga
+            self.a_seg[a0:a1] = seg[active]
+            self.a_p[a0:a1] = p[active]
+            self.slot_of[ga] = np.arange(a0 + 1, a1 + 1)
+            self.a_n = a1
+            self.a_live += ga.size
+        dormant = ~active
+        gd = g[dormant]
+        if gd.size:
+            d0, d1 = self.d_n, self.d_n + gd.size
+            self.d_page = _fit(self.d_page, d1)
+            self.d_cum = _fit(self.d_cum, d1)
+            base = float(self.d_cum[d0 - 1]) if d0 else 0.0
+            cum = np.cumsum(p[dormant])
+            cum += base
+            self.d_page[d0:d1] = gd
+            self.d_cum[d0:d1] = cum
+            self.slot_of[gd] = -np.arange(d0 + 1, d1 + 1)
+            self.d_n = d1
+            # One chunk per run of one segment's slots.
+            sd = seg[dormant]
+            ends = np.r_[np.flatnonzero(sd[1:] != sd[:-1]) + 1, sd.size]
+            c0, c1 = self.c_n, self.c_n + ends.size
+            self.c_seg = _fit(self.c_seg, c1)
+            self.c_end = _fit(self.c_end, c1)
+            self.c_seg[c0:c1] = sd[ends - 1]
+            self.c_end[c0:c1] = ends + d0
+            self.c_n = c1
+        self.live += g.size
+
+    # ------------------------------------------------------------------
+    # The draw
+    # ------------------------------------------------------------------
+    def refresh(self, n_vec: np.ndarray) -> None:
+        """Bring the slots up to date with every segment's protected
+        set (``n_vec`` steers the active/dormant split of new slots)."""
+        self._apply_changes(n_vec)
+        if self.dead > self.live or self.c_n > self.max_chunks:
+            self._rebuild(n_vec)
+        elif self.a_n > 2 * self.a_live:
+            self._compact_active()
+
+    def draw(
+        self,
+        n_vec: np.ndarray,
+        faults: np.ndarray,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> None:
+        """Draw, resolve and deliver one quantum's hint faults for every
+        segment at its access count ``n_vec[i]``; each faulting
+        segment's count is written to ``faults`` (others untouched)."""
+        self.refresh(n_vec)
+        rng = self.rng
+        parts = []
+        a_n = self.a_n
+        if a_n:
+            lam = self.a_p[:a_n] * n_vec[self.a_seg[:a_n]]
+            hit = np.flatnonzero(rng.random(a_n) < -np.expm1(-lam))
+            parts.append(self.a_page[hit])
+        c_n = self.c_n
+        if c_n:
+            c_seg, c_end = self.c_seg[:c_n], self.c_end[:c_n]
+            # The dormant CDF at each chunk's start and end.
+            top = self.d_cum[c_end - 1]
+            before = np.r_[0.0, top[:-1]]
+            rates = n_vec[c_seg] * (top - before)
+            cum = np.cumsum(rates)
+            total = float(cum[-1])
+            k = int(rng.poisson(total)) if total > 0.0 else 0
+            if k:
+                draws = rng.random(k) * total
+                j = np.searchsorted(cum, draws, side="right")
+                np.minimum(j, c_n - 1, out=j)
+                # A draw rounding onto the top edge may land on an idle
+                # chunk (measure zero): drop it.
+                keep = rates[j] > 0.0
+                j, draws = j[keep], draws[keep]
+                # Uniform on its chunk's band; rescaled by the segment's
+                # n it is uniform on the chunk's p mass.
+                values = before[j] + (draws - (cum[j] - rates[j])) / (
+                    n_vec[c_seg[j]]
+                )
+                slots = np.searchsorted(
+                    self.d_cum[: self.d_n], values, side="right"
+                )
+                starts = np.r_[0, c_end[:-1]]
+                np.clip(slots, starts[j], c_end[j] - 1, out=slots)
+                g = self.d_page[np.unique(slots)]
+                # Dead slots thin the draw; zero-rate pages cannot fault.
+                g = g[g >= 0]
+                parts.append(g[self.arena.concat_probs[g] > 0.0])
+        if parts:
+            touched = np.sort(np.concatenate(parts))
+            if touched.size:
+                self._tombstone(touched)
+                self._resolve(touched, n_vec, faults, start_ns, quantum_ns)
+
+    def _resolve(
+        self,
+        touched: np.ndarray,
+        n_vec: np.ndarray,
+        faults: np.ndarray,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> None:
+        """Fault offsets for every touched page in one pass, then one
+        ``FaultBatch`` per segment in ascending order."""
+        seg_starts = self.seg_starts
+        seg = np.searchsorted(seg_starts, touched, side="right") - 1
+        rates = n_vec[seg] * self.arena.concat_probs[touched] / quantum_ns
+        offsets = first_access_offsets(
+            self.rng.random(touched.size), rates, quantum_ns
+        )
+        offsets += start_ns
+        all_vpns = touched - seg_starts[seg]
+        bounds = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+        starts = np.r_[0, bounds]
+        seen = self.seen
+        deliver = self.arena.kernel.deliver_faults
+        for i, a, b in zip(
+            seg[starts].tolist(),
+            starts.tolist(),
+            np.r_[bounds, seg.size].tolist(),
+        ):
+            proc = self.processes[i]
+            pages = proc.pages
+            vpns = all_vpns[a:b]
+            fault_ts = offsets[a:b]
+            scan_ts = pages.scan_ts_ns[vpns]
+            cit = fault_ts - scan_ts
+            cit[scan_ts < 0] = -1  # never stamped: no CIT
+            # A segment untouched since the drain stays drained.
+            clean = pages.protect_epoch == seen[i]
+            pages.unprotect_resolved(vpns)
+            if clean:
+                seen[i] = pages.protect_epoch
+            pages.accessed[vpns] = True
+            deliver(proc, FaultBatch(proc.pid, vpns, fault_ts, cit))
+            faults[i] = b - a

@@ -73,11 +73,11 @@ O(n_procs) Python loop from the steady-state step: with ``arena=True``
 (the default; requires the fast path) every (macro-)quantum executes as
 one batched array program over a cross-process page arena
 (:mod:`repro.harness.arena`) -- one vectorised pricing solve, one
-aggregate fault draw partitioned back to processes, one concatenated
+aggregate fault draw from a fleet-wide fault plan, one concatenated
 ledger account, one latency fold, one demand fold.  ``arena=False``
 keeps the per-process fast path as the arena's reference mode; a
 single-process arena is bit-identical to it, multi-process arenas are
-statistically equivalent (the aggregate fault draw consumes a dedicated
+statistically equivalent (the fault plan consumes a dedicated
 ``engine.arena`` stream).  The steady-state fusion witness lives in the
 arena's per-segment epoch vectors instead of per-process buffers.
 
@@ -87,11 +87,11 @@ with ``intern=True`` (the default; requires the arena) multi-segment
 arenas group stationary segments that share one compiled distribution
 table into equivalence classes and execute the steady-state quantum per
 class -- cached pricing with per-class dirty bits over epoch witness
-cells, merged class ledger runs with lazy per-segment thinning, and
-cached fault plans feeding the aggregate draw.  When every class is a
-singleton the interned step is bit-identical to the uninterned arena
-step; ``intern=False`` (``--no-intern``) keeps the uninterned step as
-the reference mode.
+cells, and merged class ledger runs with lazy per-segment thinning;
+faults come from the same fault plan as the uninterned step.  When
+every class is a singleton the interned step is bit-identical to the
+uninterned arena step; ``intern=False`` (``--no-intern``) keeps the
+uninterned step as the reference mode.
 """
 
 from __future__ import annotations
@@ -374,6 +374,11 @@ class QuantumEngine:
                         slow_contention=gauges["machine.slow_contention"],
                     )
                     arena_obj = self._arena
+                    plan = arena_obj.plan if arena_obj is not None else None
+                    if plan is not None:
+                        for name, delta in plan.take_counters().items():
+                            if delta:
+                                obs.inc(name, delta)
                     if arena_obj is not None and arena_obj.intern:
                         obs.set_gauge(
                             "arena.interned_classes",

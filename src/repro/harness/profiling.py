@@ -23,8 +23,8 @@ real (host) wall time of a run across the simulator's subsystems:
 ``segment_fold``     arena stepping only: the vectorised
                      pricing/ledger/latency/demand folds over the
                      segment axis
-``fault_partition``  arena stepping only: the aggregate fault draw
-                     and its partition back to segments
+``fault_partition``  arena stepping only: the fault plan's upkeep,
+                     draw and resolve
 ===================  ==================================================
 
 Sections nest (a policy fault handler may migrate pages); the profiler

@@ -261,6 +261,23 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "repro.harness.arena",
               "segment re-pricings skipped because the epoch witness "
               "showed no change."),
+        _spec("arena.fault_plan_rebuilds", "counter", "count",
+              "repro.harness.arena",
+              "rebuilds of the fault plan's slot tables from the live "
+              "slots: dead slots outnumbered live ones, or the chunk "
+              "table outgrew the fleet."),
+        _spec("arena.fault_plan_resyncs", "counter", "count",
+              "repro.harness.arena",
+              "segments the fault plan re-read from prot_none: before "
+              "its first draw, after a distribution swap, or after a "
+              "protection-log overflow."),
+        _spec("arena.fault_plan_appended", "counter", "pages",
+              "repro.harness.arena",
+              "fault-plan slots appended for newly protected pages."),
+        _spec("arena.fault_plan_tombstoned", "counter", "pages",
+              "repro.harness.arena",
+              "fault-plan slots tombstoned in place: pages the fault "
+              "resolve or another path unprotected."),
         _spec("workload.table_hits", "gauge", "count",
               "repro.workloads.base",
               "compiled-table cache hits accumulated process-wide at "

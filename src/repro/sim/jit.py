@@ -4,18 +4,13 @@ This module lives in the dependency-free :mod:`repro.sim` substrate so
 both the vm layer and the harness can import it without cycles.  The
 arena stepping path (:mod:`repro.harness.arena`) and the deferred
 ground-truth ledger (:mod:`repro.vm.page_state`) spend their large-array
-time in two kernels:
+time in these kernels:
 
 ``ledger_fold``
     Materialise one ledger run into the lifetime and window counters:
     ``access[i] += probs[i] * n``, ``window[i] += probs[i] * n``.  At the
     10M-page bench rung this is the single largest remaining O(pages)
     pass.
-
-``searchsorted_right``
-    The fault-partition binary search: place aggregate Poisson draws
-    first into segments (processes) and then onto pages by inverse-CDF
-    lookup.
 
 ``scan_filter``
     The Ticking-scan tier filter: gather each window page's tier and
@@ -33,7 +28,7 @@ time in two kernels:
     re-prices only dirty singleton rows, so the fold takes the row
     subset explicitly instead of sweeping every segment.
 
-Both have a pure-numpy implementation that is the default and the
+Each has a pure-numpy implementation that is the default and the
 reference.  Setting ``CHRONO_JIT=1`` in the environment swaps in numba
 ``@njit`` versions **when numba is importable**; the numba kernels
 perform the exact same floating-point operations in the same order, so
@@ -69,13 +64,6 @@ def _numpy_ledger_fold(
     np.multiply(probs, n_accesses, out=buf)
     access += buf
     window += buf
-
-
-def _numpy_searchsorted_right(
-    cdf: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Reference right-bisect placement of ``values`` into ``cdf``."""
-    return np.searchsorted(cdf, values, side="right")
 
 
 def _numpy_scan_filter(
@@ -140,25 +128,6 @@ def _build_numba_kernels() -> Optional[dict]:
             window[i] += value
 
     @njit(cache=True)
-    def _nb_searchsorted_right(cdf, values):  # pragma: no cover - compiled
-        out = np.empty(values.shape[0], dtype=np.int64)
-        n = cdf.shape[0]
-        for i in range(values.shape[0]):
-            # Right-bisect, the exact np.searchsorted(..., 'right')
-            # contract: first index where cdf[index] > value.
-            lo = 0
-            hi = n
-            value = values[i]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value < cdf[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out[i] = lo
-        return out
-
-    @njit(cache=True)
     def _nb_scan_filter(tier, window, tier_filter):  # pragma: no cover - compiled
         n = 0
         for i in range(window.shape[0]):
@@ -200,12 +169,6 @@ def _build_numba_kernels() -> Optional[dict]:
     def ledger_fold(probs, n_accesses, access, window, buf):
         _nb_ledger_fold(probs, float(n_accesses), access, window)
 
-    def searchsorted_right(cdf, values):
-        return _nb_searchsorted_right(
-            np.ascontiguousarray(cdf, dtype=np.float64),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
-
     def scan_filter(tier, window, tier_filter):
         return _nb_scan_filter(
             tier,
@@ -235,7 +198,6 @@ def _build_numba_kernels() -> Optional[dict]:
     return {
         "enabled": True,
         "ledger_fold": ledger_fold,
-        "searchsorted_right": searchsorted_right,
         "scan_filter": scan_filter,
         "dcsc_fold": dcsc_fold,
         "price_fold": price_fold,
@@ -254,7 +216,6 @@ def _resolve() -> dict:
         kernels = {
             "enabled": False,
             "ledger_fold": _numpy_ledger_fold,
-            "searchsorted_right": _numpy_searchsorted_right,
             "scan_filter": _numpy_scan_filter,
             "dcsc_fold": _numpy_dcsc_fold,
             "price_fold": _numpy_price_fold,
@@ -283,13 +244,6 @@ def ledger_fold(
 ) -> None:
     """Fold one ``(probs, n)`` ledger run into both counters in place."""
     _resolve()["ledger_fold"](probs, n_accesses, access, window, buf)
-
-
-def searchsorted_right(
-    cdf: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``np.searchsorted(cdf, values, side='right')`` (JIT-swappable)."""
-    return _resolve()["searchsorted_right"](cdf, values)
 
 
 def scan_filter(

@@ -73,6 +73,18 @@ class FaultBatch:
         )
 
 
+def first_access_offsets(
+    u: np.ndarray, rates_per_ns: np.ndarray, quantum_len_ns: int
+) -> np.ndarray:
+    """Each page's first-access offset within a quantum, from uniforms
+    ``u``: its arrival process at ``rates_per_ns`` (positive) conditioned
+    on at least one arrival, ``t = -ln(1 - u * (1 - exp(-rate * Q))) /
+    rate``, truncated to the quantum."""
+    scale = -np.expm1(-rates_per_ns * quantum_len_ns)
+    offsets = (-np.log1p(-u * scale) / rates_per_ns).astype(np.int64)
+    return np.minimum(offsets, quantum_len_ns - 1)
+
+
 def take_hint_faults(
     process: "SimProcess",
     touched_vpns: np.ndarray,
@@ -117,12 +129,9 @@ protected_pages` with a boolean mask: it must be the complementary
             raise ValueError("rates must parallel touched vpns")
         if float(rates.min()) <= 0:
             raise ValueError("touched pages must have positive rates")
-        # First-arrival time conditioned on >= 1 arrival in the quantum:
-        # t = -ln(1 - u * (1 - exp(-lambda * Q))) / lambda.
-        u = rng.random(touched_vpns.size)
-        scale = -np.expm1(-rates * quantum_len_ns)
-        offsets = (-np.log1p(-u * scale) / rates).astype(np.int64)
-        offsets = np.minimum(offsets, quantum_len_ns - 1)
+        offsets = first_access_offsets(
+            rng.random(touched_vpns.size), rates, quantum_len_ns
+        )
     fault_ts = quantum_start_ns + offsets
     scan_ts = pages.scan_ts_ns[touched_vpns]
     cit = np.where(scan_ts >= 0, fault_ts - scan_ts, np.int64(-1))

@@ -65,6 +65,17 @@ def _sorted_unique(vpns: np.ndarray) -> np.ndarray:
     return np.unique(vpns)
 
 
+class _ProtectLog:
+    """vpn arrays whose protection flipped since the last drain, and how
+    many vpns they name (the bound is checked against it)."""
+
+    __slots__ = ("parts", "pages")
+
+    def __init__(self) -> None:
+        self.parts: List[np.ndarray] = []
+        self.pages = 0
+
+
 class PageState:
     """Structure-of-arrays page metadata for one process."""
 
@@ -129,19 +140,33 @@ class PageState:
         #: last quantum" with one integer compare.  Together with
         #: ``epoch`` it witnesses the steady state quantum fusion needs.
         self.protect_epoch: int = 0
-        #: sorted vpns of currently protected pages.  Maintained
-        #: copy-on-write (never mutated in place) so a snapshot returned
-        #: by :meth:`protected_pages` stays valid across later updates.
-        self._protected_vpns = np.empty(0, dtype=np.int64)
+        #: sorted vpns of currently protected pages, materialised lazily
+        #: by :meth:`protected_pages` (``None`` = stale since the last
+        #: change).  Never mutated in place, so a returned snapshot stays
+        #: valid across later updates.
+        self._protected_vpns: Optional[np.ndarray] = np.empty(
+            0, dtype=np.int64
+        )
+        #: protection-change log for an attached fault plan (the
+        #: multi-process arena's): arrays of vpns whose protection bit
+        #: flipped through :meth:`protect`, :meth:`protect_at` or
+        #: :meth:`unprotect` since the last :meth:`take_protect_log`.
+        #: ``None`` while no plan is attached.  Bounded: once it would
+        #: name more than ``n_pages`` vpns it is dropped and the next
+        #: take reports an overflow (a resync from ``prot_none`` is then
+        #: cheaper than replaying it).
+        self._protect_log: Optional[_ProtectLog] = None
         #: optional write-through witness cells (the cross-process
-        #: arena's dirty-detection vectors): a ``(3, n_segs)`` int64
-        #: array whose column ``_witness_index`` mirrors ``epoch``,
+        #: arena's dirty-detection vectors): this process's column of a
+        #: ``(3, n_segs)`` int64 matrix, mirroring ``epoch``,
         #: ``protect_epoch`` and ``n_protected``.  Every mutation site
         #: writes its new value through, so the arena detects stale
         #: segments with one vectorised compare instead of an O(fleet)
-        #: Python attribute walk per quantum.
+        #: Python attribute walk per quantum.  (Keep the attribute count
+        #: at 29: CPython 3.11 stops sharing instance-dict keys at 30,
+        #: which costs ~1.3 KiB per page state -- 1.3 MiB per 1,024
+        #: tenants.)
         self._witness_cells: Optional[np.ndarray] = None
-        self._witness_index: int = 0
         #: placement journal: ``(epoch, vpns, old_tiers, new_tier)`` per
         #: ``move_to_tier`` call, oldest first
         self._move_log: Deque[Tuple[int, np.ndarray, np.ndarray, int]] = (
@@ -184,20 +209,20 @@ class PageState:
         only change in the four protect/unprotect paths, all of which
         write through.
         """
-        self._witness_cells = cells
-        self._witness_index = int(index)
-        if cells is not None:
-            cells[0, index] = self.epoch
-            cells[1, index] = self.protect_epoch
-            cells[2, index] = self.n_protected
+        if cells is None:
+            self._witness_cells = None
+            return
+        column = self._witness_cells = cells[:, index]
+        column[0] = self.epoch
+        column[1] = self.protect_epoch
+        column[2] = self.n_protected
 
     def _sync_protect_witness(self) -> None:
         """Write the protection state through to the witness cells."""
-        cells = self._witness_cells
-        if cells is not None:
-            i = self._witness_index
-            cells[1, i] = self.protect_epoch
-            cells[2, i] = self.n_protected
+        column = self._witness_cells
+        if column is not None:
+            column[1] = self.protect_epoch
+            column[2] = self.n_protected
 
     def set_ledger_source(
         self,
@@ -315,48 +340,37 @@ class PageState:
     # ------------------------------------------------------------------
     # PTE protection (scan / fault paths)
     # ------------------------------------------------------------------
-    def _cache_protect(self, fresh: np.ndarray) -> None:
-        """Merge sorted, newly protected vpns into the sorted cache."""
-        if fresh.size == 0:
+    def _protection_changed(self, vpns: np.ndarray) -> None:
+        """Record a change of the protected set: the sorted snapshot goes
+        stale and an attached plan's log names the flipped vpns."""
+        self._protected_vpns = None
+        log = self._protect_log
+        if log is None:
             return
-        current = self._protected_vpns
-        if current.size == 0:
-            self._protected_vpns = fresh
+        log.pages += int(vpns.size)
+        if log.pages > self.n_pages:
+            log.parts.clear()  # overflowed: the next take asks for a resync
         else:
-            # Hand-rolled sorted merge: ``np.insert`` carries generic
-            # axis/object machinery that dominates at these sizes.
-            positions = np.searchsorted(current, fresh)
-            merged = np.empty(
-                current.size + fresh.size, dtype=np.int64
-            )
-            at = positions + np.arange(fresh.size)
-            mask = np.zeros(merged.size, dtype=bool)
-            mask[at] = True
-            merged[mask] = fresh
-            merged[~mask] = current
-            self._protected_vpns = merged
+            log.parts.append(vpns)
 
-    def _cache_unprotect(self, gone: np.ndarray) -> None:
-        """Drop sorted, previously protected vpns from the cache.
+    def set_protect_log(self, enabled: bool) -> None:
+        """Attach (``True``) or detach (``False``) the protection-change
+        log; attaching starts from an empty log."""
+        self._protect_log = _ProtectLog() if enabled else None
 
-        Tolerates vpns missing from the cache: tests may flip
-        ``prot_none`` directly, bypassing :meth:`protect`; such pages
-        were never cached and are simply skipped here.
+    def take_protect_log(self) -> Optional[List[np.ndarray]]:
+        """Drain the protection-change log.
+
+        Returns the logged vpn arrays, oldest first (a vpn may repeat;
+        its current ``prot_none`` bit is the outcome), or ``None`` when
+        the log overflowed or is detached: the caller must then resync
+        from ``prot_none``.
         """
-        if gone.size == 0:
-            return
-        current = self._protected_vpns
-        if current.size == 0:
-            return
-        positions = np.searchsorted(current, gone)
-        cached = positions < current.size
-        cached[cached] &= current[positions[cached]] == gone[cached]
-        hit = positions[cached]
-        if hit.size == 0:
-            return
-        keep = np.ones(current.size, dtype=bool)
-        keep[hit] = False
-        self._protected_vpns = current[keep]
+        log = self._protect_log
+        if log is None:
+            return None
+        self._protect_log = _ProtectLog()
+        return None if log.pages > self.n_pages else log.parts
 
     def protect(self, vpns: np.ndarray, now_ns: int) -> int:
         """Mark pages PROT_NONE and stamp the scan time; return count.
@@ -375,7 +389,7 @@ class PageState:
         if fresh.size:
             self.protect_epoch += 1
             self._sync_protect_witness()
-        self._cache_protect(fresh)
+            self._protection_changed(fresh)
         return int(fresh.size)
 
     def protect_at(self, vpns: np.ndarray, ts_ns: np.ndarray) -> None:
@@ -401,8 +415,8 @@ class PageState:
             unique_ts = np.empty(unique.shape, dtype=np.int64)
             # later duplicates overwrite earlier, as fancy assignment does
             unique_ts[inverse] = ts_ns
-        fresh_mask = ~self.prot_none[unique]
-        self.n_protected += int(np.count_nonzero(fresh_mask))
+        fresh = unique[~self.prot_none[unique]]
+        self.n_protected += int(fresh.size)
         self.prot_none[unique] = True
         self.scan_ts_ns[unique] = unique_ts
         if unique.size:
@@ -410,7 +424,8 @@ class PageState:
             # protection-state mutation for the fusion dirty-flag
             self.protect_epoch += 1
             self._sync_protect_witness()
-        self._cache_protect(unique[fresh_mask])
+        if fresh.size:
+            self._protection_changed(fresh)
 
     def unprotect(self, vpns: np.ndarray) -> None:
         """Clear PROT_NONE after a fault restored the mapping."""
@@ -421,20 +436,21 @@ class PageState:
         if gone.size:
             self.protect_epoch += 1
             self._sync_protect_witness()
+            self._protection_changed(gone)
         self.prot_none[unique] = False
-        self._cache_unprotect(gone)
 
     def unprotect_resolved(
-        self, vpns: np.ndarray, remainder: np.ndarray
+        self, vpns: np.ndarray, remainder: Optional[np.ndarray] = None
     ) -> None:
-        """Unprotect ``vpns`` when the caller already split the cache.
+        """Unprotect faulted ``vpns`` whose bookkeeping the caller owns.
 
-        Fast path for the engine's fault resolution: ``vpns`` and
-        ``remainder`` must be the two complementary slices of one
-        :meth:`protected_pages` snapshot (so ``vpns`` are sorted, unique,
-        and all currently protected).  Skips the membership search the
-        general :meth:`unprotect` performs and installs ``remainder`` as
-        the new cache directly.
+        ``vpns`` must be sorted, unique and all currently protected, so
+        the membership search of :meth:`unprotect` is skipped, and the
+        change is not logged: the per-process sampler passes
+        ``remainder``, the untouched slice of its :meth:`protected_pages`
+        snapshot, which becomes the new snapshot; the arena's fault plan
+        passes none (the snapshot goes stale) and tombstones its own
+        slots instead.
         """
         self.prot_none[vpns] = False
         self.n_protected -= int(vpns.size)
@@ -446,13 +462,19 @@ class PageState:
     def protected_pages(self) -> np.ndarray:
         """vpns of all currently protected pages, ascending.
 
-        O(protected): served from the incrementally maintained sorted
-        cache instead of an O(pages) ``flatnonzero``.  The returned array
-        is a copy-on-write snapshot -- later protect/unprotect calls
-        replace the cache rather than mutating it -- so callers may hold
-        it across updates; they must not write into it.
+        Lazy: the snapshot is materialised from ``prot_none`` on the
+        first read after a change and served as is until the next one,
+        so fleets stepped through the arena's fault plan -- which never
+        reads it -- pay nothing for it.  Only the reference engine, the
+        per-process path and single-process arenas read it, and their
+        fault resolve installs the untouched remainder directly.  The
+        returned array is never mutated in place -- callers may hold it
+        across updates; they must not write into it.
         """
-        return self._protected_vpns
+        vpns = self._protected_vpns
+        if vpns is None:
+            vpns = self._protected_vpns = np.flatnonzero(self.prot_none)
+        return vpns
 
     # ------------------------------------------------------------------
     # Residency updates (migration path)
@@ -470,9 +492,9 @@ class PageState:
         old_tiers = self.tier[vpns]  # fancy indexing copies
         self.tier[vpns] = np.int8(tier_id)
         self.epoch += 1
-        cells = self._witness_cells
-        if cells is not None:
-            cells[0, self._witness_index] = self.epoch
+        column = self._witness_cells
+        if column is not None:
+            column[0] = self.epoch
         log = self._move_log
         log.append((self.epoch, vpns, old_tiers, int(tier_id)))
         self._move_log_pages += int(vpns.size)

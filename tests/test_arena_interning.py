@@ -27,7 +27,17 @@ from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.workloads.base import distribution_fingerprint
 from repro.workloads.multitenant import make_multitenant_processes
 from tests.conftest import make_kernel
-from tests.test_harness_arena import ALL_POLICIES
+from tests.test_harness_arena import (
+    ALL_POLICIES,
+    HINT_FAULT_POLICIES,
+    seed_means,
+)
+
+#: a contended regime: 8 x 256 tenant pages against 512 fast pages,
+#: with scans every 0.5 s so hint faults flow within the 2 s run
+CONTENDED = dict(
+    n_tenants=8, fast_pages=512, scan_period_ns=SECOND // 2
+)
 
 
 def run_multitenant(
@@ -40,9 +50,12 @@ def run_multitenant(
     fusion=False,
     seed=0,
     obs=None,
+    **setup_overrides,
 ):
     """One multitenant run with interning on or off (arena always on)."""
-    setup = StandardSetup(duration_ns=2 * SECOND, seed=seed)
+    setup = StandardSetup(
+        duration_ns=2 * SECOND, seed=seed, **setup_overrides
+    )
     policy = setup.build_policy(policy_name)
     processes = build_fleet(
         setup,
@@ -94,6 +107,33 @@ class TestSingletonBitIdentity:
         )
         assert fingerprint(interned) == fingerprint(reference)
 
+    @pytest.mark.parametrize("policy_name", HINT_FAULT_POLICIES)
+    def test_contended_singletons_match_uninterned_exactly(
+        self, policy_name
+    ):
+        """The contended regime, where both steps carry hint faults
+        through the fleet-wide fault plan: still bit for bit."""
+        interned = run_multitenant(
+            policy_name, intern=True, delay_step_units=1, **CONTENDED
+        )
+        reference = run_multitenant(
+            policy_name, intern=False, delay_step_units=1, **CONTENDED
+        )
+        assert interned.fmar < 1.0
+        assert interned.stats["hint_faults"] > 0
+        assert fingerprint(interned) == fingerprint(reference)
+
+
+#: the contended multi-member cases that class-mean pricing biases
+#: beyond the seed spread (ROADMAP item 1): measured three-seed means
+#: at this config read linux-nb FMAR 0.305 against 0.333 uninterned and
+#: tpp 0.326 against 0.414
+INTERNING_BIAS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: class-mean pricing biases contended "
+    "multi-member classes",
+)
+
 
 class TestMultiMemberEquivalence:
     @pytest.mark.parametrize(
@@ -101,9 +141,9 @@ class TestMultiMemberEquivalence:
     )
     def test_headline_metrics_agree(self, policy_name):
         """Shared tables at equal delay form real classes; class-level
-        pricing and the merged fault plan keep the same laws, so the
+        pricing and the shared fault plan keep the same laws, so the
         headline metrics agree within the arena's own multi-process
-        spread."""
+        spread (uncontended: the fleet fits in the fast tier)."""
         interned = run_multitenant(
             policy_name,
             intern=True,
@@ -124,6 +164,42 @@ class TestMultiMemberEquivalence:
         assert interned.fmar == pytest.approx(
             reference.fmar, rel=0.05, abs=1e-4
         )
+
+    @pytest.mark.parametrize(
+        "policy_name",
+        [
+            pytest.param("linux-nb", marks=INTERNING_BIAS),
+            "chrono",
+            pytest.param("tpp", marks=INTERNING_BIAS),
+        ],
+    )
+    def test_contended_classes_agree(self, policy_name):
+        """Real classes in a contended fleet (FMAR < 1, hint faults
+        flowing).  Three-seed means must agree within the uninterned
+        step's own three-seed range, measured over these three policies
+        at this config: at most 0.021 on throughput and 0.050 on FMAR
+        (linux-nb)."""
+        runs = {
+            intern: [
+                run_multitenant(
+                    policy_name,
+                    intern=intern,
+                    delay_step_units=0,
+                    n_distinct=2,
+                    seed=seed,
+                    **CONTENDED,
+                )
+                for seed in (0, 1, 2)
+            ]
+            for intern in (True, False)
+        }
+        for run in runs[True]:
+            assert run.fmar < 1.0
+            assert run.stats["hint_faults"] > 0
+        interned_tput, interned_fmar = seed_means(runs[True])
+        ref_tput, ref_fmar = seed_means(runs[False])
+        assert interned_tput == pytest.approx(ref_tput, rel=0.021)
+        assert interned_fmar == pytest.approx(ref_fmar, rel=0.050)
 
 
 class TestFusionComposition:

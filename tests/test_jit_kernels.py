@@ -5,8 +5,8 @@ numpy is always the default and the reference; ``CHRONO_JIT=1`` swaps
 in numba versions only when numba is importable, and degrades silently
 to numpy when it is not (numba is never a required dependency).  When
 the numba kernels are active they must be bit-identical to the numpy
-path -- the ledger fold and the fault-partition bisect sit on the
-engine's equivalence-gated trajectory.
+path -- the ledger fold and the price fold sit on the engine's
+equivalence-gated trajectory.
 """
 
 import numpy as np
@@ -56,15 +56,6 @@ class TestNumpyDefault:
         jit.ledger_fold(probs, 50.0, access, window, buf)
         np.testing.assert_array_equal(access, base_access + probs * 50.0)
         np.testing.assert_array_equal(window, base_window + probs * 50.0)
-
-    def test_searchsorted_right_matches_numpy_contract(self, monkeypatch):
-        monkeypatch.delenv("CHRONO_JIT", raising=False)
-        cdf = np.array([0.1, 0.4, 0.4, 0.9, 1.0])
-        values = np.array([0.0, 0.1, 0.4, 0.95, 1.0])
-        np.testing.assert_array_equal(
-            jit.searchsorted_right(cdf, values),
-            np.searchsorted(cdf, values, side="right"),
-        )
 
     def test_price_fold_masked_rows_only(self, monkeypatch):
         """The masked pricing fold writes exactly the indexed rows,
@@ -135,17 +126,6 @@ class TestNumbaBitIdentity:
         jit.ledger_fold(probs, 123.456, access, window, buf)
         np.testing.assert_array_equal(access, ref_access)
         np.testing.assert_array_equal(window, ref_window)
-
-    def test_searchsorted_right_bit_identical(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        cdf = np.cumsum(rng.random(1_000))
-        values = rng.random(10_000) * float(cdf[-1]) * 1.05
-        monkeypatch.setenv("CHRONO_JIT", "1")
-        assert jit.jit_enabled()
-        np.testing.assert_array_equal(
-            jit.searchsorted_right(cdf, values),
-            np.searchsorted(cdf, values, side="right"),
-        )
 
     def test_price_fold_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(5)
