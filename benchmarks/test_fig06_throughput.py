@@ -21,9 +21,11 @@ import pytest
 from benchmarks.conftest import bench_setup_kwargs, run_once, shape_assert
 from repro.harness.experiments import (
     EVALUATED_POLICIES,
+    StandardSetup,
     policy_comparison_cells,
 )
 from repro.harness.reporting import format_table
+from repro.kernel.reclaim import Watermarks
 
 RW_RATIOS = (0.95, 0.70, 0.30, 0.05)
 
@@ -37,7 +39,20 @@ PANELS = {
 
 
 def panel_cells(n_procs, pages_per_proc):
-    """The panel's (policy x R/W ratio) grid as declarative cells."""
+    """The panel's (policy x R/W ratio) grid as declarative cells.
+
+    Initial placement never fills the fast tier's watermark reserve, so
+    panel (b)'s working set, the size of the whole standard machine,
+    would not fit it.  Its slow tier grows by just that reserve, which
+    keeps the machine full at start as the panel was calibrated.
+    """
+    setup_kwargs = bench_setup_kwargs()
+    working_set = n_procs * pages_per_proc
+    usable_fast = StandardSetup.fast_pages - Watermarks(
+        capacity_pages=StandardSetup.fast_pages
+    ).high_pages
+    if working_set > usable_fast + StandardSetup.slow_pages:
+        setup_kwargs["slow_pages"] = working_set - usable_fast
     cells = []
     for ratio in RW_RATIOS:
         cells.extend(
@@ -49,7 +64,7 @@ def panel_cells(n_procs, pages_per_proc):
                     pages_per_proc=pages_per_proc,
                     read_write_ratio=ratio,
                 ),
-                setup_kwargs=bench_setup_kwargs(),
+                setup_kwargs=setup_kwargs,
             )
         )
     return cells

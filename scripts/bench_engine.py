@@ -1525,9 +1525,9 @@ def scaling_setup(pages_per_proc: int) -> StandardSetup:
 def time_scaling_run(policy_name, pages_per_proc, fast_path):
     """Time ``engine.run`` only -- steady-state cost, no setup noise.
 
-    Building the kernel, allocating initial placement, and attaching
-    the policy are one-time O(pages) work; the scaling story is about
-    the per-quantum cost, so the clock starts at the engine.
+    Building the kernel and attaching the policy are one-time O(pages)
+    work and the initial placement is O(processes); the scaling story
+    is about the per-quantum cost, so the clock starts at the engine.
     """
     setup = scaling_setup(pages_per_proc)
     policy = setup.build_policy(policy_name)

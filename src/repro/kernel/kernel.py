@@ -9,7 +9,7 @@ patch touches in Linux.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Set
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.kernel.scanner import ScanConfig, TickingScanner
 from repro.kernel.stats import GlobalStats, SeriesBank
 from repro.kernel.sysctl import Sysctl, positive
 from repro.mem.machine import TieredMachine
-from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
@@ -30,6 +29,36 @@ from repro.vm.process import SimProcess
 
 #: per-page cost of one LRU aging pass (reference-bit harvest)
 AGING_PAGE_COST_NS: int = 25
+
+
+def _round_robin_prefixes(
+    sizes: np.ndarray, chunk_pages: int, budget: int
+) -> np.ndarray:
+    """Pages of each process among the first ``budget`` of a round-robin.
+
+    The walk visits chunks in (round, process) order; round ``r`` gives
+    process ``i`` its pages ``[r * chunk_pages, (r + 1) * chunk_pages)``
+    clipped to ``sizes[i]``, so whatever the walk covers of a process is
+    a vpn prefix.  The first ``r`` rounds cover ``sum(min(sizes, r *
+    chunk_pages))`` pages; bisection finds the most whole rounds within
+    ``budget``, and the next round hands out the rest in process order.
+    O(processes * log(max(sizes) / chunk_pages)).
+    """
+    def covered(rounds: int) -> int:
+        return int(np.minimum(sizes, rounds * chunk_pages).sum())
+
+    lo = 0
+    hi = -(-int(sizes.max(initial=0)) // chunk_pages)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if covered(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    base = np.minimum(sizes, lo * chunk_pages)
+    take = np.minimum(sizes - base, chunk_pages)
+    before = np.cumsum(take) - take
+    return base + np.clip(budget - int(base.sum()) - before, 0, take)
 
 
 class Kernel:
@@ -59,6 +88,8 @@ class Kernel:
         self.migration = MigrationEngine(self)
         self.cgroups = CgroupRegistry()
         self.processes: List[SimProcess] = []
+        #: pids of ``processes``: the duplicate check is O(1) per tenant
+        self._pids: Set[int] = set()
         self.policy: Any = None
         self.scanner: Optional[TickingScanner] = None
         #: optional :class:`repro.harness.profiling.Profiler`; when set,
@@ -99,8 +130,9 @@ class Kernel:
         self, process: SimProcess, cgroup: Optional[str] = None
     ) -> None:
         """Add a process to the table (placement happens separately)."""
-        if any(p.pid == process.pid for p in self.processes):
+        if process.pid in self._pids:
             raise ValueError(f"pid {process.pid} already registered")
+        self._pids.add(process.pid)
         self.processes.append(process)
         # Deferred-accounting flushes charge their wall time to the
         # profiler's ``accounting`` section (a no-op while unprofiled).
@@ -115,32 +147,42 @@ class Kernel:
         the fast tier while it has headroom above the high watermark, then
         spill to the slow tier.  Chunked round-robin interleaves the
         processes so each gets a proportional share of DRAM.
+
+        Computed in closed form: in (round, process) order the fast tier
+        takes exactly the first ``max(0, fast.free - high)`` pages, so
+        each process's fast pages are a vpn prefix
+        (:func:`_round_robin_prefixes`), written with one
+        :meth:`~repro.vm.page_state.PageState.place_prefix` per process.
+        Set-up is O(processes) Python work plus two slice writes each.
+
+        Raises ``MemoryError`` when the working sets exceed the usable
+        capacity, ``max(0, fast.free - high) + slow.free``: placement
+        never dips into the fast tier's watermark reserve, so the slow
+        tier must hold everything above the headroom.
         """
         if chunk_pages <= 0:
             raise ValueError("chunk size must be positive")
         fast = self.machine.fast
         slow = self.machine.slow
-        cursors = [0] * len(self.processes)
-        remaining = sum(p.n_pages for p in self.processes)
-        if remaining > fast.free_pages + slow.free_pages:
+        sizes = np.array(
+            [p.n_pages for p in self.processes], dtype=np.int64
+        )
+        total = int(sizes.sum())
+        headroom = max(0, fast.free_pages - self.watermarks.high_pages)
+        if total > headroom + slow.free_pages:
             raise MemoryError(
-                f"working sets ({remaining} pages) exceed machine capacity "
-                f"({fast.free_pages + slow.free_pages} free pages)"
+                f"working sets ({total} pages) exceed usable capacity "
+                f"({headroom} fast pages above the high watermark + "
+                f"{slow.free_pages} free slow pages)"
             )
-        while remaining > 0:
-            for index, process in enumerate(self.processes):
-                if cursors[index] >= process.n_pages:
-                    continue
-                take = min(chunk_pages, process.n_pages - cursors[index])
-                headroom = fast.free_pages - self.watermarks.high_pages
-                n_fast = max(0, min(take, headroom))
-                fast.allocate(n_fast)
-                slow.allocate(take - n_fast)
-                vpns = np.arange(cursors[index], cursors[index] + take)
-                process.pages.move_to_tier(vpns[:n_fast], FAST_TIER)
-                process.pages.move_to_tier(vpns[n_fast:], SLOW_TIER)
-                cursors[index] += take
-                remaining -= take
+        n_fast = _round_robin_prefixes(
+            sizes, chunk_pages, min(headroom, total)
+        )
+        placed_fast = int(n_fast.sum())
+        fast.allocate(placed_fast)
+        slow.allocate(total - placed_fast)
+        for process, prefix in zip(self.processes, n_fast.tolist()):
+            process.pages.place_prefix(prefix)
 
     # ------------------------------------------------------------------
     # Policy plumbing

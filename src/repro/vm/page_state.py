@@ -506,6 +506,25 @@ class PageState:
             self._move_log_pages -= int(dropped_vpns.size)
             self.move_log_base = dropped_epoch
 
+    def place_prefix(self, n_fast: int) -> None:
+        """Initial placement: pages ``[0, n_fast)`` on the fast tier and
+        the rest on the slow tier, as two slice writes.
+
+        Bumps ``epoch`` once and restarts the placement journal at the
+        new epoch instead of journalling every page, so a cache taken
+        before the placement recounts (:meth:`moves_since` reports
+        ``None``) rather than replaying a page-by-page delta.
+        """
+        self.tier[:n_fast] = FAST_TIER
+        self.tier[n_fast:] = SLOW_TIER
+        self.epoch += 1
+        column = self._witness_cells
+        if column is not None:
+            column[0] = self.epoch
+        self._move_log.clear()
+        self._move_log_pages = 0
+        self.move_log_base = self.epoch
+
     def moves_since(
         self, epoch: int
     ) -> Optional[List[Tuple[int, np.ndarray, np.ndarray, int]]]:

@@ -22,18 +22,27 @@ distribution tables that plug straight into the engine:
   recording's wall-clock shape.
 
 The binning is memory-bounded: :func:`compile_event_stream` consumes an
-iterable of event chunks and only ever holds one chunk plus the growing
-per-process window histograms, so arbitrarily long event files stream
-through a fixed working set.
+iterable of event chunks (``.npz`` members are streamed straight from
+the archive, :data:`DEFAULT_CHUNK_EVENTS` at a time, in their stored
+dtypes).  Its working set is one chunk with a few int64 temporaries of
+the chunk's length, one int64 ``bincount`` block over the windows that
+chunk spans times ``n_pages``, and the per-pid window counts: 4 bytes
+per (window, page) cell (uint32), rows grown by doubling, so at most
+twice the windows each pid spans, plus one pid's counts while a later
+chunk widens the page dimension.  The event count does not enter it,
+so arbitrarily long event files stream through a fixed working set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import pathlib
+import zipfile
 from dataclasses import dataclass
 from typing import (
+    IO,
     Dict,
     Iterable,
     Iterator,
@@ -69,6 +78,12 @@ DEFAULT_CHUNK_EVENTS = 1 << 20
 #: one event chunk: (timestamp_ns, pid, vpn, is_write) parallel arrays
 EventChunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: member names of an event-format ``.npz``, in :data:`EventChunk` order
+EVENT_KEYS = ("timestamp_ns", "pid", "vpn", "is_write")
+
+#: most events one pid may log in one window: its page counts are uint32
+MAX_WINDOW_EVENTS = int(np.iinfo(np.uint32).max)
+
 
 class StationaryTableWorkload(Workload):
     """Stationary workload over a pre-built, frozen probability table.
@@ -94,7 +109,9 @@ class StationaryTableWorkload(Workload):
             raise ValueError("probability table must be 1-D")
         super().__init__(len(probs), write_fraction, delay_ns_per_access)
         total = float(probs.sum())
-        if not np.isclose(total, 1.0):
+        # ``np.isclose(total, 1.0)``'s default tolerance as a scalar
+        # expression (it runs once per fleet tenant); NaN fails it too.
+        if not abs(total - 1.0) <= 1e-8 + 1e-5:
             raise ValueError("probability table must sum to 1")
         self._probs = probs
 
@@ -123,6 +140,23 @@ def intern_distribution(weights: np.ndarray) -> np.ndarray:
     return cached_tables(key, lambda: {"probs": probs})["probs"]
 
 
+def _histograms(windows: np.ndarray) -> np.ndarray:
+    """``windows`` as a non-empty 2-D count matrix.
+
+    Integer counts of at most 32 bits (the event binner's uint32) stay
+    as they are: reductions over them run with a float64 accumulator,
+    and while totals stay below 2**53 every partial sum is exact, so the
+    results match the float64 matrix bit for bit without holding it.
+    Anything else becomes float64.
+    """
+    windows = np.asarray(windows)
+    if windows.dtype.kind not in "iu" or windows.dtype.itemsize > 4:
+        windows = windows.astype(np.float64, copy=False)
+    if windows.ndim != 2 or windows.shape[0] == 0:
+        raise ValueError("need a non-empty (n_windows, n_pages) array")
+    return windows
+
+
 @dataclass
 class Segment:
     """One detected phase: windows ``[start, end)``; idle iff zero mass."""
@@ -146,15 +180,18 @@ def segment_windows(
     one.  Zero-traffic windows always form their own idle segments, so
     phase boundaries never straddle an idle gap.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[0] == 0:
-        raise ValueError("need a non-empty (n_windows, n_pages) array")
+    windows = _histograms(windows)
     segments: List[Segment] = []
-    totals = windows.sum(axis=1)
+    totals = windows.sum(axis=1, dtype=np.float64)
     start = 0
     mean: Optional[np.ndarray] = None
     count = 0
     idle = bool(totals[0] <= 0.0)
+    # ``diff`` holds a window's normalized row minus the running mean,
+    # which serves both the distance and the mean update; reusing it
+    # and ``spread`` saves a fresh page-sized allocation per step.
+    diff = np.empty(windows.shape[1], dtype=np.float64)
+    spread = np.empty_like(diff)
     for i in range(windows.shape[0]):
         window_idle = bool(totals[i] <= 0.0)
         if window_idle != idle:
@@ -162,17 +199,19 @@ def segment_windows(
             start, mean, count, idle = i, None, 0, window_idle
         if window_idle:
             continue
-        p = windows[i] / totals[i]
         if mean is None:
-            mean, count = p.copy(), 1
+            mean, count = windows[i] / totals[i], 1
             continue
-        distance = 0.5 * float(np.abs(p - mean).sum())
+        np.divide(windows[i], totals[i], out=diff)
+        diff -= mean
+        distance = 0.5 * float(np.abs(diff, out=spread).sum())
         if distance > threshold and count >= min_windows:
             segments.append(Segment(start, i, False))
-            start, mean, count = i, p.copy(), 1
+            start, mean, count = i, windows[i] / totals[i], 1
         else:
             count += 1
-            mean += (p - mean) / count
+            diff /= count
+            mean += diff
     segments.append(Segment(start, windows.shape[0], idle))
     return segments
 
@@ -244,12 +283,10 @@ def compile_windows(
     one interned distribution table, and emits ``compile.*``
     observability when an obs hub is supplied.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[0] == 0:
-        raise ValueError("need a non-empty (n_windows, n_pages) array")
+    windows = _histograms(windows)
     if window_ns <= 0:
         raise ValueError("window duration must be positive")
-    totals = windows.sum(axis=1)
+    totals = windows.sum(axis=1, dtype=np.float64)
     if not np.any(totals > 0.0):
         raise ValueError("trace contains no traffic")
     segments = segment_windows(
@@ -263,7 +300,9 @@ def compile_windows(
             zeros.setflags(write=False)
             phases.append((duration, zeros))
         else:
-            pooled = windows[seg.start:seg.end].sum(axis=0)
+            pooled = windows[seg.start:seg.end].sum(
+                axis=0, dtype=np.float64
+            )
             phases.append((duration, intern_distribution(pooled)))
     n_idle = int(np.count_nonzero(totals <= 0.0))
     compiled = CompiledTrace(
@@ -296,23 +335,38 @@ def compile_windows(
 class _EventBinner:
     """Accumulates chunked events into per-pid window histograms.
 
-    Holds one growing ``(n_windows, n_pages)`` count matrix per pid plus
-    scalar write/event tallies; each chunk folds in via one
-    ``bincount`` over a combined ``window * n_pages + vpn`` index, so
-    the per-event cost is a handful of vectorized passes.
+    Holds one ``(n_windows, n_pages)`` uint32 count matrix per pid plus
+    scalar write/event tallies.  A pid's share of a chunk folds in via
+    one ``bincount`` over ``(window - first) * n_pages + vpn``, sized by
+    the windows *that chunk* spans, so the working set is one chunk, its
+    window span, and the counts themselves.  Count rows grow by doubling
+    as later windows arrive.  Without a given ``n_pages`` the page
+    dimension grows to the largest vpn seen so far, so a later chunk may
+    touch a higher page than the first one did; each rise copies the
+    counts, one pid at a time, at their exact new width.
     """
 
     def __init__(self, n_pages: Optional[int], window_ns: int) -> None:
         if window_ns <= 0:
             raise ValueError("window duration must be positive")
         self.window_ns = int(window_ns)
-        self.n_pages = n_pages
+        self.fixed_pages = n_pages is not None
+        self.n_pages = 0 if n_pages is None else int(n_pages)
         self.counts: Dict[int, np.ndarray] = {}
         self.events: Dict[int, int] = {}
         self.writes: Dict[int, int] = {}
         self.max_window: Dict[int, int] = {}
 
     def add_chunk(self, chunk: EventChunk) -> int:
+        """Fold one chunk in; returns its event count.
+
+        A chunk whose events all belong to one pid folds in whole.  That
+        holds wherever a trace stores each pid's events contiguously, as
+        ``perfbench``'s ``replay1m`` does (7 of its 8 chunks, 87% of its
+        events), and skips regrouping copies of the chunk.  Other chunks
+        are grouped by a stable argsort of their pids, which beat
+        ``np.unique`` plus one mask per pid on a time-merged capture.
+        """
         timestamps, pids, vpns, is_write = (
             np.asarray(chunk[0], dtype=np.int64),
             np.asarray(chunk[1], dtype=np.int64),
@@ -325,50 +379,85 @@ class _EventBinner:
             raise ValueError("event chunk arrays must share one length")
         if timestamps.size == 0:
             return 0
-        if np.any(timestamps < 0) or np.any(vpns < 0):
+        if int(timestamps.min()) < 0 or int(vpns.min()) < 0:
             raise ValueError("timestamps and vpns must be non-negative")
-        if self.n_pages is None:
-            self.n_pages = int(vpns.max()) + 1
-        elif np.any(vpns >= self.n_pages):
-            raise ValueError(
-                f"vpn out of range for n_pages={self.n_pages}"
-            )
-        windows = timestamps // self.window_ns
-        for pid in np.unique(pids).tolist():
-            mask = pids == pid
-            self._fold(int(pid), windows[mask], vpns[mask], is_write[mask])
+        top_vpn = int(vpns.max())
+        if top_vpn >= self.n_pages:
+            if self.fixed_pages:
+                raise ValueError(
+                    f"vpn out of range for n_pages={self.n_pages}"
+                )
+            self._widen(top_vpn + 1)
+        first_pid = int(pids.min())
+        if first_pid == int(pids.max()):
+            self._fold(first_pid, timestamps, vpns, is_write)
+        else:
+            order = np.argsort(pids, kind="stable")
+            grouped = pids[order]
+            cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+            for group in np.split(order, cuts):
+                self._fold(
+                    int(pids[group[0]]),
+                    timestamps[group],
+                    vpns[group],
+                    is_write[group],
+                )
         return int(timestamps.size)
+
+    def _widen(self, n_pages: int) -> None:
+        """Grow every pid's page dimension to ``n_pages`` columns."""
+        for pid in list(self.counts):
+            matrix = self.counts[pid]
+            wide = np.zeros((matrix.shape[0], n_pages), dtype=np.uint32)
+            wide[:, : self.n_pages] = matrix
+            self.counts[pid] = wide
+        self.n_pages = n_pages
 
     def _fold(
         self,
         pid: int,
-        windows: np.ndarray,
+        timestamps: np.ndarray,
         vpns: np.ndarray,
         is_write: np.ndarray,
     ) -> None:
-        top = int(windows.max())
+        offsets = timestamps // self.window_ns
+        first = int(offsets.min())
+        top = int(offsets.max())
+        span = top - first + 1
         matrix = self.counts.get(pid)
-        if matrix is None or top >= matrix.shape[0]:
-            grown = np.zeros(
-                (max(top + 1, 2 * (0 if matrix is None else matrix.shape[0])),
-                 self.n_pages),
-                dtype=np.float64,
-            )
+        if matrix is None or top >= len(matrix):
+            rows = max(top + 1, 2 * (0 if matrix is None else len(matrix)))
+            grown = np.zeros((rows, self.n_pages), dtype=np.uint32)
             if matrix is not None:
-                grown[: matrix.shape[0]] = matrix
+                grown[: len(matrix)] = matrix
             self.counts[pid] = matrix = grown
-        flat = windows * self.n_pages + vpns
-        binned = np.bincount(flat, minlength=(top + 1) * self.n_pages)
-        matrix[: top + 1] += binned.reshape(top + 1, self.n_pages)
-        self.events[pid] = self.events.get(pid, 0) + int(windows.size)
+        offsets -= first
+        offsets *= self.n_pages
+        offsets += vpns
+        binned = np.bincount(
+            offsets, minlength=span * self.n_pages
+        ).reshape(span, self.n_pages)
+        block = matrix[first : top + 1]
+        events = self.events.get(pid, 0) + int(timestamps.size)
+        if events > MAX_WINDOW_EVENTS:
+            # A window's event total bounds each of its page counts; it
+            # can only pass the uint32 range once the pid's total does.
+            totals = block.sum(axis=1, dtype=np.int64) + binned.sum(axis=1)
+            if int(totals.max()) > MAX_WINDOW_EVENTS:
+                raise ValueError(
+                    f"pid {pid} has more than {MAX_WINDOW_EVENTS} events "
+                    f"in one {self.window_ns} ns window; its uint32 page "
+                    "counts would overflow (use a shorter window)"
+                )
+        np.add(block, binned, out=block, dtype=np.uint32, casting="unsafe")
+        self.events[pid] = events
         self.writes[pid] = self.writes.get(pid, 0) + int(
             np.count_nonzero(is_write)
         )
         self.max_window[pid] = max(self.max_window.get(pid, 0), top)
 
     def windows_for(self, pid: int) -> np.ndarray:
-        matrix = self.counts[pid]
-        return matrix[: self.max_window[pid] + 1]
+        return self.counts[pid][: self.max_window[pid] + 1]
 
     def write_fraction_for(self, pid: int) -> float:
         events = self.events.get(pid, 0)
@@ -424,10 +513,12 @@ def compile_events(
     obs=None,
 ) -> Dict[int, CompiledTrace]:
     """One-shot event-array entry point (chunks internally)."""
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    pids = np.asarray(pids, dtype=np.int64)
-    vpns = np.asarray(vpns, dtype=np.int64)
-    is_write = np.asarray(is_write, dtype=bool)
+    timestamps, pids, vpns, is_write = (
+        np.asarray(timestamps),
+        np.asarray(pids),
+        np.asarray(vpns),
+        np.asarray(is_write),
+    )
 
     def chunks() -> Iterator[EventChunk]:
         for lo in range(0, timestamps.size, int(chunk_events)):
@@ -484,15 +575,57 @@ def _rows_to_chunk(rows: List[Tuple[int, int, int, int]]) -> EventChunk:
     )
 
 
-def read_event_npz(path: PathLike) -> EventChunk:
-    """Load an event-format ``.npz`` (timestamp_ns/pid/vpn/is_write keys)."""
-    with np.load(path) as data:
-        return (
-            np.asarray(data["timestamp_ns"], dtype=np.int64),
-            np.asarray(data["pid"], dtype=np.int64),
-            np.asarray(data["vpn"], dtype=np.int64),
-            np.asarray(data["is_write"], dtype=bool),
+def _npy_header(handle: IO[bytes], key: str) -> Tuple[np.dtype, int]:
+    """Read one ``.npy`` member's header: ``(dtype, length)``."""
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+    elif version == (2, 0):
+        shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
+    else:
+        raise ValueError(
+            f"event member {key!r}: unsupported .npy version {version}"
         )
+    if len(shape) != 1 or dtype.hasobject:
+        raise ValueError(f"event member {key!r} must be a 1-D numeric array")
+    return dtype, int(shape[0])
+
+
+def _npy_chunk(
+    handle: IO[bytes], key: str, dtype: np.dtype, count: int
+) -> np.ndarray:
+    """The next ``count`` elements of an open ``.npy`` member."""
+    data = handle.read(count * dtype.itemsize)
+    if len(data) != count * dtype.itemsize:
+        raise ValueError(f"event member {key!r} is truncated")
+    return np.frombuffer(data, dtype=dtype)
+
+
+def read_event_npz(path: PathLike) -> Iterator[EventChunk]:
+    """Stream an event-format ``.npz`` (:data:`EVENT_KEYS` members) as
+    event chunks of at most :data:`DEFAULT_CHUNK_EVENTS` events each.
+
+    The four members are read side by side, straight from the archive
+    (stored or ``np.savez_compressed``), and each chunk keeps the
+    members' stored dtypes, so the resident set is one chunk however
+    long the file is.
+    """
+    with zipfile.ZipFile(path) as archive, contextlib.ExitStack() as stack:
+        members = []
+        for key in EVENT_KEYS:
+            handle = stack.enter_context(archive.open(f"{key}.npy"))
+            members.append((handle, key) + _npy_header(handle, key))
+        lengths = {length for _, _, _, length in members}
+        if len(lengths) != 1:
+            raise ValueError("event members must share one length")
+        remaining = lengths.pop()
+        while remaining > 0:
+            count = min(DEFAULT_CHUNK_EVENTS, remaining)
+            yield tuple(
+                _npy_chunk(handle, key, dtype, count)
+                for handle, key, dtype, _ in members
+            )
+            remaining -= count
 
 
 def compile_trace_file(
@@ -508,7 +641,8 @@ def compile_trace_file(
     ``.npz`` files are sniffed: a ``windows`` key is the recorder's
     window format (binned at its recorded interval; ``window_ns`` must
     then be omitted or match), a ``timestamp_ns`` key is the raw event
-    format.  ``.csv`` files stream through :func:`read_event_csv`.
+    format, streamed through :func:`read_event_npz`.  ``.csv`` files
+    stream through :func:`read_event_csv`.
     """
     path = pathlib.Path(path)
     if path.suffix == ".csv":
@@ -540,7 +674,7 @@ def compile_trace_file(
             )
         }
     return compile_event_stream(
-        [read_event_npz(path)],
+        read_event_npz(path),
         window_ns=window_ns or DEFAULT_WINDOW_NS,
         threshold=threshold,
         min_windows=min_windows,

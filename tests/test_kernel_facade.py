@@ -1,12 +1,58 @@
 """Tests for the Kernel facade: registration, placement, daemons."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.timeunits import SECOND
 from repro.vm.fault import FaultBatch
+from repro.vm.process import SimProcess
 from tests.conftest import make_kernel, make_process
+
+
+def chunk_loop_placement(kernel, chunk_pages):
+    """Reference oracle: the chunk-by-chunk round-robin walk that
+    ``allocate_initial_placement`` computes in closed form, two
+    ``move_to_tier`` calls per chunk, with the usable-capacity check."""
+    fast = kernel.machine.fast
+    slow = kernel.machine.slow
+    cursors = [0] * len(kernel.processes)
+    remaining = sum(p.n_pages for p in kernel.processes)
+    headroom = max(0, fast.free_pages - kernel.watermarks.high_pages)
+    if remaining > headroom + slow.free_pages:
+        raise MemoryError("working sets exceed usable capacity")
+    while remaining > 0:
+        for index, process in enumerate(kernel.processes):
+            if cursors[index] >= process.n_pages:
+                continue
+            take = min(chunk_pages, process.n_pages - cursors[index])
+            headroom = fast.free_pages - kernel.watermarks.high_pages
+            n_fast = max(0, min(take, headroom))
+            fast.allocate(n_fast)
+            slow.allocate(take - n_fast)
+            vpns = np.arange(cursors[index], cursors[index] + take)
+            process.pages.move_to_tier(vpns[:n_fast], FAST_TIER)
+            process.pages.move_to_tier(vpns[n_fast:], SLOW_TIER)
+            cursors[index] += take
+            remaining -= take
+
+
+def sized_kernel(sizes, fast_pages, slow_pages, fast_used):
+    """A kernel with one process per size and ``fast_used`` fast frames
+    already taken (so the headroom above ``high`` can be <= 0)."""
+    kernel = make_kernel(fast_pages=fast_pages, slow_pages=slow_pages)
+    kernel.machine.fast.allocate(fast_used)
+    for pid, n_pages in enumerate(sizes):
+        kernel.register_process(SimProcess(
+            pid=pid,
+            workload=SimpleNamespace(n_pages=n_pages),
+            rng=np.random.default_rng(pid),
+        ))
+    return kernel
 
 
 class RecordingPolicy:
@@ -95,6 +141,68 @@ class TestInitialPlacement:
         )
         assert fast_resident == kernel.machine.fast.used_pages
         assert slow_resident == kernel.machine.slow.used_pages
+
+    def test_watermark_reserve_does_not_count_as_capacity(self):
+        """Placement never fills the fast tier's reserve below ``high``,
+        so 199 pages on 100 + 100 frames would over-commit the slow
+        tier (103 pages resident, 100 frames accounted): refused."""
+        kernel = make_kernel(fast_pages=100, slow_pages=100)
+        kernel.register_process(make_process(n_pages=199))
+        with pytest.raises(MemoryError):
+            kernel.allocate_initial_placement()
+        assert kernel.machine.fast.used_pages == 0
+        assert kernel.machine.slow.used_pages == 0
+
+    def test_exactly_usable_capacity_fits(self):
+        kernel = make_kernel(fast_pages=100, slow_pages=100)
+        usable = 100 - kernel.watermarks.high_pages + 100
+        process = make_process(n_pages=usable)
+        kernel.register_process(process)
+        kernel.allocate_initial_placement()
+        assert kernel.machine.slow.used_pages == 100
+        assert process.pages.count_in_tier(SLOW_TIER) == 100
+
+    def test_placement_bumps_epoch_and_restarts_journal(self):
+        """Caches taken before placement must recount, not replay."""
+        kernel = make_kernel(fast_pages=100, slow_pages=400)
+        process = make_process(n_pages=300)
+        kernel.register_process(process)
+        before = process.pages.epoch
+        kernel.allocate_initial_placement()
+        assert process.pages.epoch > before
+        assert process.pages.moves_since(before) is None
+        assert process.pages.moves_since(process.pages.epoch) == []
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        sizes=st.lists(st.integers(0, 300), max_size=8),
+        chunk_pages=st.integers(1, 100),
+        fast_pages=st.integers(1, 600),
+        slow_pages=st.integers(1, 1_500),
+        fast_used_share=st.floats(0.0, 1.0),
+    )
+    def test_closed_form_matches_chunk_loop(
+        self, sizes, chunk_pages, fast_pages, slow_pages, fast_used_share
+    ):
+        """Tier arrays and frame counts equal the chunk loop's, for
+        fleets with zero-page processes and headroom at or below 0."""
+        fast_used = int(fast_pages * fast_used_share)
+        kernel = sized_kernel(sizes, fast_pages, slow_pages, fast_used)
+        oracle = sized_kernel(sizes, fast_pages, slow_pages, fast_used)
+        try:
+            chunk_loop_placement(oracle, chunk_pages)
+        except MemoryError:
+            with pytest.raises(MemoryError):
+                kernel.allocate_initial_placement(chunk_pages=chunk_pages)
+            return
+        kernel.allocate_initial_placement(chunk_pages=chunk_pages)
+        for got, want in zip(kernel.processes, oracle.processes):
+            np.testing.assert_array_equal(got.pages.tier, want.pages.tier)
+        for got, want in zip(kernel.machine.tiers, oracle.machine.tiers):
+            assert got.used_pages == want.used_pages
+        resident = sum(p.pages.count_in_tier(SLOW_TIER)
+                       for p in kernel.processes)
+        assert resident == kernel.machine.slow.used_pages
 
 
 class TestPolicyPlumbing:

@@ -1,5 +1,7 @@
 """Tests for the trace compiler: binning, segmentation, replay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.harness.runner import run_experiment
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.vm.process import SimProcess
+from repro.workloads import compile as compile_module
 from repro.workloads.base import TraceWorkload
 from repro.workloads.compile import (
     CompiledTrace,
@@ -17,6 +20,8 @@ from repro.workloads.compile import (
     compile_trace_file,
     compile_windows,
     intern_distribution,
+    read_event_csv,
+    read_event_npz,
     segment_windows,
     synthetic_event_stream,
 )
@@ -69,23 +74,41 @@ class TestBinning:
         )[0]
         assert compiled.write_fraction == pytest.approx(0.25)
 
-    def test_streaming_equals_one_shot(self):
-        timestamps, pids, vpns, is_write = two_phase_events()
+    @pytest.mark.parametrize(
+        "events, n_pages, chunk",
+        [
+            (two_phase_events(), 16, 313),
+            (two_phase_events(), None, 313),
+            # The top page first appears in the last chunk: inferring
+            # n_pages from the first chunk alone rejected this stream.
+            (([0, 1, 2, 3], [0] * 4, [0, 1, 5, 7], [False] * 4), None, 2),
+        ],
+    )
+    def test_streaming_equals_one_shot(self, events, n_pages, chunk):
+        timestamps, pids, vpns, is_write = map(np.asarray, events)
         one_shot = compile_events(
-            timestamps, pids, vpns, is_write, n_pages=16
+            timestamps, pids, vpns, is_write, n_pages=n_pages
         )[0]
         chunks = [
-            (timestamps[i:i + 313], pids[i:i + 313],
-             vpns[i:i + 313], is_write[i:i + 313])
-            for i in range(0, timestamps.size, 313)
+            (timestamps[i:i + chunk], pids[i:i + chunk],
+             vpns[i:i + chunk], is_write[i:i + chunk])
+            for i in range(0, timestamps.size, chunk)
         ]
-        streamed = compile_event_stream(iter(chunks), n_pages=16)[0]
-        assert streamed.n_phases == one_shot.n_phases
-        for (d1, p1), (d2, p2) in zip(
-            streamed.phases, one_shot.phases
-        ):
-            assert d1 == d2
-            np.testing.assert_array_equal(p1, p2)
+        streamed = compile_event_stream(iter(chunks), n_pages=n_pages)[0]
+        rechunked = compile_events(
+            timestamps, pids, vpns, is_write, n_pages=n_pages,
+            chunk_events=chunk,
+        )[0]
+        for compiled in (streamed, rechunked):
+            assert compiled.n_pages == one_shot.n_pages
+            assert compiled.n_phases == one_shot.n_phases
+            for (d1, p1), (d2, p2) in zip(
+                compiled.phases, one_shot.phases
+            ):
+                assert d1 == d2
+                np.testing.assert_array_equal(p1, p2)
+        if n_pages is None:
+            assert one_shot.n_pages == int(vpns.max()) + 1
 
     def test_per_pid_separation(self):
         timestamps = np.arange(4, dtype=np.int64)
@@ -105,6 +128,23 @@ class TestBinning:
     def test_out_of_range_vpn_rejected(self):
         with pytest.raises(ValueError):
             compile_events([0], [0], [9], [False], n_pages=4)
+
+    def test_window_count_overflow_rejected(self, monkeypatch):
+        """Page counts are uint32: a window whose events could push one
+        past the limit fails loudly instead of wrapping."""
+        monkeypatch.setattr(compile_module, "MAX_WINDOW_EVENTS", 3)
+        # Six events over two windows: past the limit in total, within
+        # it per window, so nothing can overflow.
+        spread = compile_events(
+            [0, 1, 2, SECOND, SECOND + 1, SECOND + 2], [0] * 6,
+            [0] * 6, [False] * 6, chunk_events=2,
+        )[0]
+        assert spread.n_events == 6
+        with pytest.raises(ValueError, match="overflow"):
+            compile_events(
+                [0, 1, 2, 3], [0] * 4, [1] * 4, [False] * 4,
+                chunk_events=2,
+            )
 
 
 class TestSegmentation:
@@ -185,6 +225,22 @@ class TestCompiledTrace:
         assert a.phases[0][1] is b.phases[0][1]
         assert not a.phases[0][1].flags.writeable
 
+    @pytest.mark.parametrize(
+        "probs, valid",
+        [
+            ([0.5, 0.5 + 5e-6], True),  # within np.isclose's tolerance
+            ([0.5, 0.5 + 2e-5], False),
+            ([0.5, 0.4], False),
+            ([0.5, np.nan], False),
+        ],
+    )
+    def test_stationary_table_must_sum_to_one(self, probs, valid):
+        if valid:
+            StationaryTableWorkload(np.array(probs))
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                StationaryTableWorkload(np.array(probs))
+
     def test_intern_distribution_rejects_zero_mass(self):
         with pytest.raises(ValueError):
             intern_distribution(np.zeros(4))
@@ -233,6 +289,54 @@ class TestTraceFiles:
         assert compiled.n_events == 100
         assert compiled.n_pages == 4
 
+    def test_csv_stream_widens_to_a_later_top_page(self, tmp_path):
+        """CSV rows stream in chunks; a page first seen in a later chunk
+        (here by another pid) widens every pid's counts to max vpn + 1."""
+        rows = [(t, 0, t % 4, 0) for t in range(6)]
+        rows += [(t, 1, 9 - t % 3, 1) for t in range(6, 12)]
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join(",".join(map(str, r)) for r in rows))
+        streamed = compile_event_stream(read_event_csv(path, chunk_events=4))
+        one_shot = compile_events(*np.array(rows).T)
+        assert_same_compile(streamed, one_shot)
+        assert {c.n_pages for c in streamed.values()} == {10}
+
+    def test_event_npz_members_must_share_one_length(self, tmp_path):
+        path = tmp_path / "events.npz"
+        np.savez(
+            path, timestamp_ns=np.arange(4), pid=np.zeros(4, np.int8),
+            vpn=np.zeros(3, np.int32), is_write=np.zeros(4, bool),
+        )
+        with pytest.raises(ValueError, match="one length"):
+            compile_trace_file(path)
+
+    def test_event_npz_members_must_be_1d(self, tmp_path):
+        path = tmp_path / "events.npz"
+        np.savez(
+            path, timestamp_ns=np.zeros((2, 2), np.int64),
+            pid=np.zeros(4, np.int8), vpn=np.zeros(4, np.int32),
+            is_write=np.zeros(4, bool),
+        )
+        with pytest.raises(ValueError, match="1-D"):
+            compile_trace_file(path)
+
+    def test_npz_reader_keeps_stored_dtypes(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.npz"
+        columns = dict(
+            timestamp_ns=np.arange(10, dtype=np.int64),
+            pid=np.arange(10, dtype=np.int8),
+            vpn=np.arange(10, dtype=np.int32),
+            is_write=np.arange(10) % 2 == 0,
+        )
+        np.savez_compressed(path, **columns)
+        monkeypatch.setattr(compile_module, "DEFAULT_CHUNK_EVENTS", 4)
+        chunks = list(read_event_npz(path))
+        assert [len(chunk[0]) for chunk in chunks] == [4, 4, 2]
+        for index, key in enumerate(compile_module.EVENT_KEYS):
+            joined = np.concatenate([chunk[index] for chunk in chunks])
+            assert joined.dtype == columns[key].dtype
+            np.testing.assert_array_equal(joined, columns[key])
+
     def test_checked_in_fixtures_compile(self):
         import pathlib
 
@@ -242,6 +346,119 @@ class TestTraceFiles:
         assert npz.n_idle_windows >= 1
         csv = compile_trace_file(data / "sample_events.csv")[0]
         assert csv.n_events > 0
+
+
+def mixed_events(n_events=24_000, n_pids=3, seed=5):
+    """Interleaved pids, a phase change and an idle gap per pid: windows
+    0-3 favour low pages, 4-5 are idle, 6-9 favour high pages."""
+    rng = np.random.default_rng(seed)
+    pids = rng.integers(0, n_pids, n_events).astype(np.int8)
+    windows = rng.choice([0, 1, 2, 3, 6, 7, 8, 9], n_events)
+    timestamps = windows * SECOND + rng.integers(0, SECOND, n_events)
+    base = np.where(windows < 4, 0, 40) + 3 * pids
+    vpns = (base + rng.zipf(1.5, n_events) % 24).astype(np.int32)
+    is_write = rng.random(n_events) < 0.1 + 0.1 * pids
+    return timestamps.astype(np.int64), pids, vpns, is_write
+
+
+def float64_reference(timestamps, pids, vpns, is_write):
+    """The float64 window-matrix compile the uint32 binner must match
+    bit for bit: one ``np.add.at`` pass per pid."""
+    n_pages = int(vpns.max()) + 1
+    windows = timestamps // SECOND
+    compiled = {}
+    for pid in np.unique(pids).tolist():
+        mask = pids == pid
+        matrix = np.zeros((int(windows[mask].max()) + 1, n_pages))
+        np.add.at(matrix, (windows[mask], vpns[mask]), 1.0)
+        compiled[pid] = compile_windows(
+            matrix, SECOND,
+            write_fraction=int(is_write[mask].sum()) / int(mask.sum()),
+            n_events=int(mask.sum()),
+        )
+    return compiled
+
+
+def assert_same_compile(got, want):
+    assert sorted(got) == sorted(want)
+    for pid in want:
+        a, b = got[pid], want[pid]
+        assert a.n_pages == b.n_pages
+        assert a.n_events == b.n_events
+        assert a.n_windows == b.n_windows
+        assert a.n_idle_windows == b.n_idle_windows
+        assert a.boundaries == b.boundaries
+        assert a.write_fraction == b.write_fraction
+        assert [d for d, _ in a.phases] == [d for d, _ in b.phases]
+        for (_, p1), (_, p2) in zip(a.phases, b.phases):
+            # interned: equal tables are one array, equal bit for bit
+            assert p1 is p2 or (not p1.any() and not p2.any())
+            np.testing.assert_array_equal(p1, p2)
+
+
+class TestStreamedEventFile:
+    @pytest.mark.parametrize("compressed", [False, True])
+    @pytest.mark.parametrize("time_sorted", [False, True])
+    def test_chunked_file_matches_one_shot(
+        self, tmp_path, monkeypatch, compressed, time_sorted
+    ):
+        """An event file read in 16 chunks compiles bit-identically to
+        the events compiled as one chunk and to the float64 matrix.
+        Time-sorted, the high pages arrive only in later chunks, so the
+        page dimension widens mid-stream."""
+        timestamps, pids, vpns, is_write = mixed_events()
+        if time_sorted:
+            order = np.argsort(timestamps, kind="stable")
+            timestamps, pids, vpns, is_write = (
+                timestamps[order], pids[order], vpns[order],
+                is_write[order],
+            )
+        path = tmp_path / "events.npz"
+        save = np.savez_compressed if compressed else np.savez
+        save(path, timestamp_ns=timestamps, pid=pids, vpn=vpns,
+             is_write=is_write)
+        monkeypatch.setattr(compile_module, "DEFAULT_CHUNK_EVENTS", 1_500)
+        streamed = compile_trace_file(path)
+        one_shot = compile_events(
+            timestamps, pids, vpns, is_write,
+            chunk_events=timestamps.size,
+        )
+        assert_same_compile(streamed, one_shot)
+        assert_same_compile(
+            streamed, float64_reference(timestamps, pids, vpns, is_write)
+        )
+        assert len(streamed) == 3
+        assert all(c.n_idle_windows == 2 for c in streamed.values())
+
+    def test_memory_bounded_by_chunk_and_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """Compiling a 32-chunk event file allocates at most a bound set
+        by the chunk size and windows x pages; the event count does not
+        enter it (the whole file upcast to int64 would exceed it)."""
+        chunk, n_chunks, n_pages, n_windows = 4_096, 32, 2_048, 8
+        n_events = chunk * n_chunks
+        rng = np.random.default_rng(3)
+        path = tmp_path / "events.npz"
+        np.savez(
+            path,
+            timestamp_ns=np.sort(
+                rng.integers(0, n_windows * SECOND, n_events)
+            ),
+            pid=rng.integers(0, 2, n_events).astype(np.int8),
+            vpn=rng.integers(0, n_pages, n_events).astype(np.int32),
+            is_write=rng.random(n_events) < 0.2,
+        )
+        monkeypatch.setattr(compile_module, "DEFAULT_CHUNK_EVENTS", chunk)
+        bound = 128 * chunk + 32 * n_windows * n_pages
+        tracemalloc.start()
+        try:
+            compiled = compile_trace_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(c.n_events for c in compiled.values()) == n_events
+        assert peak <= bound, (peak, bound)
 
 
 def replay_result(workload, fusion, duration_ns):
