@@ -24,8 +24,8 @@ Nine subcommands:
   event ``.npz``, or event ``.csv``) through the trace compiler and
   replay them on the fused fast path under any policy.
 * ``chrono-sim traffic`` -- the fleet traffic generator: Zipf tenant
-  popularity, diurnal load, churn, and scripted phase shifts at
-  arena+interning speed.
+  popularity, diurnal load, churn, and scripted phase shifts on the
+  arena fast path.
 * ``chrono-sim policies`` -- the available tiering systems and the
   Table 1 characteristics.
 * ``chrono-sim defaults`` -- Chrono's Table 2 parameter defaults.
@@ -220,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable cross-process arena stepping in every cell",
     )
     tour_p.add_argument(
-        "--no-intern", action="store_true",
-        help="disable arena distribution interning in every cell",
-    )
-    tour_p.add_argument(
         "--out", metavar="FILE", default="tournament.json",
         help="leaderboard JSON artifact path (default: "
         "tournament.json)",
@@ -291,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable cross-process arena stepping",
     )
     replay_p.add_argument(
-        "--no-intern", action="store_true",
-        help="disable arena distribution interning",
-    )
-    replay_p.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of a table",
     )
@@ -348,8 +340,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--distinct-tables", type=int, default=1,
         help="distinct distribution tables shared round-robin across "
-        "multitenant tenants (default: 1; >1 exercises the arena's "
-        "distribution interning)",
+        "multitenant tenants (default: 1)",
     )
     parser.add_argument(
         "--users", type=int, default=1_000_000,
@@ -398,14 +389,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "disable cross-process arena stepping (per-process "
             "fast-path stepping; slower, for equivalence checking)"
-        ),
-    )
-    parser.add_argument(
-        "--no-intern", action="store_true",
-        help=(
-            "disable distribution interning inside the arena "
-            "(uninterned arena stepping; slower on fleets sharing "
-            "compiled tables, for equivalence checking)"
         ),
     )
 
@@ -468,8 +451,6 @@ def _config_overrides(args) -> dict:
         overrides["fusion"] = False
     if args.no_arena:
         overrides["arena"] = False
-    if args.no_intern:
-        overrides["intern"] = False
     return overrides
 
 
@@ -975,18 +956,10 @@ def cmd_traffic(args) -> int:
     args.workload = "traffic"
     setup = _setup_from_args(args)
     policy = setup.build_policy(args.policy)
-    hub = ObsHub.create(metrics=True)
-    try:
-        processes = build_fleet(
-            setup, "traffic", obs=hub, **_workload_kwargs(args)
-        )
-        result = run_experiment(
-            processes, policy,
-            setup.run_config(**_config_overrides(args)), obs=hub,
-        )
-        gauges = hub.snapshot()["gauges"]
-    finally:
-        hub.close()
+    processes = build_fleet(setup, "traffic", **_workload_kwargs(args))
+    result = run_experiment(
+        processes, policy, setup.run_config(**_config_overrides(args))
+    )
     ratio = _fusion_ratio(result.engine)
     finished = sum(process.finished for process in processes)
     payload = {
@@ -999,10 +972,6 @@ def cmd_traffic(args) -> int:
         "fmar": result.fmar,
         "fusion_ratio": ratio,
         "tenants_exited": finished,
-        "interned_classes": gauges.get("arena.interned_classes", 0.0),
-        "interned_segments": gauges.get(
-            "arena.interned_segments", 0.0
-        ),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -1015,9 +984,6 @@ def cmd_traffic(args) -> int:
     print(f"FMAR              {100 * result.fmar:.1f} %")
     print(f"fusion ratio      {100 * ratio:.1f} %")
     print(f"tenants exited    {finished}")
-    print(f"interned          "
-          f"{payload['interned_segments']:.0f} segments in "
-          f"{payload['interned_classes']:.0f} classes")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Cross-process arena stepping: one batched array program per quantum.
 
-The per-process fast path (PR 5) executes ``run_quantum`` once per
-process per (macro-)quantum -- at fleet sizes the numpy dispatch and
-Python bookkeeping of those per-process calls dominate the step.  The
-arena concatenates every process's page-level state into one global
-address space partitioned into *segments* (one per process, in
+The per-process fast path executes ``run_quantum`` once per process per
+(macro-)quantum -- at fleet sizes the numpy dispatch and Python
+bookkeeping of those per-process calls dominate the step.  The arena
+concatenates every process's page-level state into one global address
+space partitioned into *segments* (one per process, in
 ``kernel.processes`` order) and executes each quantum as a single
 segment-wise array program:
 
@@ -18,18 +18,28 @@ segment-wise array program:
     offsets   ^0          ^s1         ^s2     ^s3          ^s4  seg_starts
     per-seg   tier-mass rows   [n_segs x n_tiers]   (journal-repaired)
     ledger    open run: probs refs per segment + accumulated n vector
-    witness   epoch / protect-epoch vectors + probs refs (fusion)
+    cells     epoch / protect-epoch / n_protected + debt (write-through)
 
-One quantum is then:
+One quantum (:meth:`ProcessArena.step`) is then:
 
-1. a Python *gather* pass (O(n_segs)): advance workloads, detect
-   distribution swaps by identity, drain queued kernel debt, repair
-   stale tier-mass rows from the page-state move journal (O(moved)),
-2. one vectorised *pricing* solve: ``mean_lat = sum_t mass[:, t] *
-   (rf * read_lat[t] + wf * write_lat[t])`` and
-   ``n = max(budget, 0) / (mean_lat + delay)`` over all segments at
-   once -- the identical scalar operations the per-process path
-   performs, evaluated element-wise (bit-identical per segment),
+1. a *gather* pass, vectorised over the witness cells: every
+   ``PageState`` writes its ``(epoch, protect_epoch, n_protected)``
+   through to its column of one int64 cell matrix, and every process
+   its queued kernel time to one debt vector, so stale tier-mass rows
+   and indebted segments are found by vector compares.  Stale rows are
+   repaired from the page-state move journal (O(moved)).  Only
+   *dynamic* rows get a per-row ``advance`` / ``access_distribution``
+   call; *static* rows -- stationary
+   :class:`~repro.workloads.base.Workload` subclasses whose
+   distribution object never changes -- skip it (it is a no-op for
+   them),
+2. *dirty-row pricing*: ``mean_lat = sum_t mass[:, t] * (rf *
+   read_lat[t] + wf * write_lat[t])`` refolds through
+   :func:`repro.sim.jit.price_fold` only for rows whose mass, profile
+   scalars or tier latencies changed since their last fold (a per-row
+   dirty bit rides every mass update), then ``n = max(budget, 0) /
+   (mean_lat + delay)`` over all segments at once -- the scalar
+   operations the per-process path performs, evaluated element-wise,
 3. one *aggregate fault draw* from the arena's :class:`FaultPlan`:
    active (hot) protected pages of every segment share one Bernoulli
    vector, dormant ones one ``K ~ Poisson(sum_i n_i * mass_i)`` draw
@@ -41,7 +51,7 @@ One quantum is then:
    fault offsets in one pass; each faulting process still gets one
    ``FaultBatch`` through ``Kernel.deliver_faults``, in segment order.
    Single-process arenas have no plan and keep the per-process sampler
-   with the process's own stream (bit-identical to the reference mode),
+   with the process's own stream,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
@@ -51,56 +61,24 @@ One quantum is then:
    keys) and scatter into per-process mixtures once per run,
 6. one *demand fold*: per-tier byte demand summed over segments.
 
-Equivalence contract (``docs/SIMULATION.md`` section 7): a
-single-process arena executes the same IEEE-754 operations in the same
-order as the per-process fast path, so its trajectory is bit-identical;
-multi-process arenas draw touches and fault times from the fault plan's
-one stream (the ``engine.arena`` RNG) instead of per-process streams,
-so they match the per-process mode statistically (same laws), not bit
-for bit.
-``arena=False`` keeps the per-process path as the reference mode for
-equivalence gating.
+A *steady-state quantum cache* spans phases 2-6: while no input changed
+since the previous quantum -- no repair, debt drain, reprice,
+retirement, distribution swap, bandwidth change or different quantum
+length -- the cached ``n`` vector, stat products, latency counts and
+demand are bitwise what recomputation would produce, so the recompute
+dispatches are skipped.
 
-Distribution interning (``docs/SIMULATION.md`` section 8)
----------------------------------------------------------
-
-Fleet-shaped experiments run many tenants over *identical* access
-distributions (the compiled-table cache in :mod:`repro.workloads.base`
-already hands every same-parameter workload the same frozen array).
-With ``intern`` enabled (the default) a multi-segment arena groups its
-stationary segments into **equivalence classes** keyed on the identity
-of their ``probs`` array plus the profile scalars ``(write_fraction,
-delay)``, and replaces the per-segment steady-state work with
-per-class work:
-
-* *pricing*: one class-level mass aggregation (the mean of the member
-  tier-mass rows) feeds a single scalar pricing fold per class; the
-  resulting ``mean_lat``/``per_cost`` scatter to every member.
-  Segments outside any class re-price through the masked
-  :func:`repro.sim.jit.price_fold` kernel **only when dirty** -- a
-  per-class/per-segment dirty bit rides the epoch witness cells that
-  every ``PageState`` writes through on mutation, so unchanged rows
-  skip re-pricing entirely,
-* *gather*: the O(n_segs) Python gather loop collapses to vectorised
-  compares over the witness cell matrix (placement epoch, protect
-  epoch, protected count) and the pending-debt mirror vector; only
-  non-stationary workloads keep a per-row ``advance`` call,
-* *ledger*: members of a class share one ``probs`` reference, so the
-  concatenated open run is a merged ``(probs, sum_i n_i)`` run
-  (:meth:`class_ledger_runs`); each segment's share drains lazily with
-  its own ``n_i`` -- exact thinning by linearity of
-  ``defer_accesses``,
-* *faults*: the interned step draws from the same :class:`FaultPlan`
-  as the uninterned step, with the same stream and the same upkeep, so
-  its fault draws match the uninterned step's bit for bit.
-
-Contract: when every class is a singleton (all distributions distinct)
-the interned step consumes the same IEEE-754 operations and RNG stream
-as the uninterned arena step, so trajectories are **bit-identical**;
-multi-member classes aggregate pricing across members and match the
-uninterned arena statistically.  ``intern=False``
-(``RunConfig.intern`` / ``--no-intern``) keeps the uninterned step as
-the reference mode.
+Equivalence contract (``docs/SIMULATION.md`` section 7): the step
+executes the same IEEE-754 operations and consumes the same RNG stream
+as the straightforward per-segment step that recomputes everything
+every quantum (the test oracle in ``tests/arena_oracle.py``), so the two
+are bit-identical on every fleet.  A single-process arena executes the
+same operations in the same order as the per-process fast path, so its
+trajectory is bit-identical to it; multi-process arenas draw touches
+and fault times from the fault plan's one stream (the ``engine.arena``
+RNG) instead of per-process streams, so they match the per-process mode
+statistically (same laws), not bit for bit.  ``arena=False`` keeps the
+per-process path as the reference mode for equivalence gating.
 """
 
 from __future__ import annotations
@@ -115,7 +93,7 @@ from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
 from repro.sim.jit import price_fold
 from repro.vm.fault import FaultBatch, first_access_offsets
-from repro.workloads.base import Workload, distribution_fingerprint
+from repro.workloads.base import Workload
 
 
 class ProcessArena:
@@ -153,12 +131,10 @@ class ProcessArena:
         # Per-segment tier-mass rows, the cache the per-process path
         # keeps in ``_ProcessBuffers``: keyed by (probs identity,
         # placement epoch), journal-repaired, drift-bounded by a resync
-        # countdown.
+        # countdown.  ``mass_epoch`` is compared against the witness
+        # cells in one vector op per quantum.
         self.mass = np.zeros((n_segs, n_tiers), dtype=np.float64)
-        # Element-wise bookkeeping lives in plain Python lists: the hot
-        # gather loop reads one entry per process per quantum, and list
-        # indexing is several times cheaper than numpy scalar access.
-        self.mass_epoch: List[int] = [-1] * n_segs
+        self.mass_epoch = np.full(n_segs, -1, dtype=np.int64)
         self.mass_resync = [0] * n_segs
         # The concatenated open ledger run: one ``n`` accumulator per
         # segment against ``probs_refs``.  ``_drain_seg`` lazily moves a
@@ -166,8 +142,8 @@ class ProcessArena:
         self.open_n = np.zeros(n_segs, dtype=np.float64)
         # Steady-state witness vectors (the fusion contract): what the
         # last quantum ran against and the state it left behind.
-        self.witness_epoch: List[int] = [-1] * n_segs
-        self.witness_protect_epoch: List[int] = [-1] * n_segs
+        self.witness_epoch = np.full(n_segs, -1, dtype=np.int64)
+        self.witness_protect_epoch = np.full(n_segs, -1, dtype=np.int64)
         self.witness_probs: List[Optional[np.ndarray]] = [None] * n_segs
         self._index = {p.pid: i for i, p in enumerate(self.processes)}
         # Per-step scratch vectors (all O(n_segs)).
@@ -179,8 +155,8 @@ class ProcessArena:
         self._per_cost = np.zeros(n_segs, dtype=np.float64)
         self._n = np.zeros(n_segs, dtype=np.float64)
         self._faults = np.zeros(n_segs, dtype=np.float64)
-        self._coef = np.zeros(n_segs, dtype=np.float64)
         self._tmp = np.zeros(n_segs, dtype=np.float64)
+        self._stale_buf = np.zeros(n_segs, dtype=bool)
         self._demand_rows = np.zeros((n_segs, n_tiers), dtype=np.float64)
         self._weight_rows = np.zeros((n_segs, n_tiers), dtype=np.float64)
         self._demand_out = np.zeros(n_tiers, dtype=np.float64)
@@ -224,33 +200,27 @@ class ProcessArena:
         self._acc_fast = np.zeros(n_segs, dtype=np.float64)
         self._acc_user = np.zeros(n_segs, dtype=np.float64)
         self._acc_stall = np.zeros(n_segs, dtype=np.float64)
-        #: vector mirror of ``mass_epoch`` (interned mode only); kept
-        #: ``None`` in reference mode so the write-through helper is a
-        #: single cheap branch there
-        self._mass_epoch_vec: Optional[np.ndarray] = None
-        #: distribution-interning layer (built after the masses when the
-        #: engine requests it and the arena has more than one segment;
-        #: single-segment arenas keep the reference step, which is
-        #: already bit-identical to the per-process path)
-        self.intern = (
-            bool(getattr(engine, "intern", True)) and n_segs > 1
-        )
-        self.n_classes = 0
-        self.interned_segments = 0
         #: monotonic re-pricing counters, drained by the engine's obs
         #: block through :meth:`take_reprice_counters`
         self.repriced_segments = 0
         self.reprice_skipped_segments = 0
-        # Steady-state quantum cache (interned step only): when no
-        # input of the pricing / accumulation phases changed since the
-        # previous quantum, the cached vectors are bitwise what
-        # recomputation would produce, so the recompute dispatches are
-        # skipped.  Any mutation -- mass repair, debt drain, reprice,
-        # retirement, distribution swap, latency/bandwidth change, or a
-        # different quantum length -- drops the flag and the next step
-        # recomputes everything into the caches.
+        # Pricing caches: mean_lat / per_cost persist across quanta and
+        # only dirty rows refold.  The latency tables are value-compared
+        # (the engine rebuilds the list objects every step).
+        self._price_dirty = np.ones(n_segs, dtype=bool)
+        self._lat_read_cache: Optional[List[float]] = None
+        self._lat_write_cache: Optional[List[float]] = None
+        self._read_lat_arr = np.zeros(n_tiers, dtype=np.float64)
+        self._write_lat_arr = np.zeros(n_tiers, dtype=np.float64)
+        # Steady-state quantum cache: when no input of the pricing /
+        # accumulation phases changed since the previous quantum, the
+        # cached vectors are bitwise what recomputation would produce,
+        # so the recompute dispatches are skipped.  Any mutation -- mass
+        # repair, debt drain, reprice, retirement, distribution swap,
+        # latency/bandwidth change, or a different quantum length --
+        # drops the flag and the next step recomputes everything into
+        # the caches.
         self._ss_valid = False
-        self._ss_quantum = -1
         self._budget_fill = -1.0
         self._budget_tainted = True
         self._fast_prod = np.zeros(n_segs, dtype=np.float64)
@@ -266,10 +236,13 @@ class ProcessArena:
         #: witness cells: column ``i`` mirrors segment ``i``'s
         #: ``(epoch, protect_epoch, n_protected)`` (written through by its
         #: ``PageState``), so staleness and fault eligibility are vector
-        #: compares
+        #: compares; the debt cells mirror each process's queued kernel
+        #: time the same way
         self._cells = np.zeros((3, n_segs), dtype=np.int64)
+        self._debt_cells = np.zeros(n_segs, dtype=np.float64)
         for i, proc in enumerate(self.processes):
             proc.pages.set_witness_cells(self._cells, i)
+            proc.set_debt_cell(self._debt_cells, i)
         self._build_masses()
         self._attach_ledger_sources()
         #: the fleet-wide fault plan; single-segment arenas keep the
@@ -277,8 +250,20 @@ class ProcessArena:
         self.plan: Optional[FaultPlan] = (
             FaultPlan(self) if n_segs > 1 else None
         )
-        if self.intern:
-            self._build_intern()
+        #: rows that still need the per-quantum ``advance`` /
+        #: ``access_distribution`` calls: everything but stationary
+        #: :class:`Workload` subclasses with an identity-stable
+        #: distribution, for which both calls are no-ops
+        self._dynamic_rows = [
+            row for row in self._rows
+            if not (
+                isinstance(row[2], Workload)
+                and type(row[2]).advance is Workload.advance
+                and row[2].access_distribution() is self.probs_refs[row[0]]
+            )
+        ]
+        if not self._live_mask.all():
+            self._retire_rows()
 
     # ------------------------------------------------------------------
     # Construction / teardown
@@ -306,8 +291,6 @@ class ProcessArena:
             self._delay[i] = workload.delay_ns_per_access
             if proc.finished:
                 self._live_mask[i] = False
-        if not self._live_mask.all():
-            self._retire_rows()
         if int(starts[-1]) > 0:
             seg_ids = np.repeat(
                 np.arange(self.n_segs, dtype=np.int64),
@@ -327,91 +310,6 @@ class ProcessArena:
                 self._make_drain(i), self._make_has_pending(i)
             )
 
-    def _build_intern(self) -> None:
-        """Build the distribution-interning layer.
-
-        Attaches the witness cell matrix / debt mirror to every
-        segment's page state and process, classifies segments into
-        *static* rows (stationary :class:`~repro.workloads.base.Workload`
-        subclasses with an identity-stable distribution -- they skip the
-        per-quantum ``advance``/``access_distribution`` calls, which are
-        no-ops for them) and *dynamic* rows (everything else, stepped
-        exactly as the reference gather loop does), then groups static
-        rows into equivalence classes keyed on ``(id(probs),
-        write_fraction, delay)``.  Classes need at least two members;
-        everything else stays a singleton and keeps the bit-identical
-        per-segment pricing.
-        """
-        n_segs = self.n_segs
-        debt = self._debt_cells = np.zeros(n_segs, dtype=np.float64)
-        for i, proc in enumerate(self.processes):
-            proc.set_debt_cell(debt, i)
-        self._mass_epoch_vec = np.array(self.mass_epoch, dtype=np.int64)
-        self._stale_buf = np.zeros(n_segs, dtype=bool)
-        # Witness storage becomes int64 vectors: the fusion update is
-        # then two vector copies from the cell matrix per quantum
-        # instead of a per-row loop.
-        self.witness_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self.witness_protect_epoch = np.full(n_segs, -1, dtype=np.int64)
-        # Pricing caches: mean_lat / per_cost persist across quanta and
-        # only dirty rows re-fold.  The latency tables are value-compared
-        # (the engine rebuilds the list objects every step).
-        self._price_dirty = np.ones(n_segs, dtype=bool)
-        self._lat_read_cache: Optional[List[float]] = None
-        self._lat_write_cache: Optional[List[float]] = None
-        self._read_lat_arr = np.zeros(self.n_tiers, dtype=np.float64)
-        self._write_lat_arr = np.zeros(self.n_tiers, dtype=np.float64)
-        # Static/dynamic split and the equivalence classes.
-        self._dynamic_rows = []
-        static_rows = []
-        for row in self._rows:
-            i, proc, workload, pages = row
-            if (
-                isinstance(workload, Workload)
-                and type(workload).advance is Workload.advance
-                and workload.access_distribution() is self.probs_refs[i]
-            ):
-                static_rows.append(row)
-            else:
-                self._dynamic_rows.append(row)
-        groups: Dict[Any, List[int]] = {}
-        for row in static_rows:
-            i = row[0]
-            key = (
-                id(self.probs_refs[i]),
-                float(self._wf[i]),
-                float(self._delay[i]),
-            )
-            groups.setdefault(key, []).append(i)
-        self.class_members: List[np.ndarray] = []
-        self.class_probs: List[np.ndarray] = []
-        self.class_fingerprints: List[Any] = []
-        self._class_of = np.full(n_segs, -1, dtype=np.int64)
-        class_wf: List[float] = []
-        class_delay: List[float] = []
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            ref = self.probs_refs[members[0]]
-            member_vec = np.array(members, dtype=np.int64)
-            self._class_of[member_vec] = len(self.class_members)
-            self.class_members.append(member_vec)
-            self.class_probs.append(ref)
-            self.class_fingerprints.append(distribution_fingerprint(ref))
-            class_wf.append(float(self._wf[members[0]]))
-            class_delay.append(float(self._delay[members[0]]))
-        self.n_classes = len(self.class_members)
-        self._class_wf = np.array(class_wf, dtype=np.float64)
-        self._class_rf = 1.0 - self._class_wf
-        self._class_delay = np.array(class_delay, dtype=np.float64)
-        self._class_mass = np.zeros(
-            (self.n_classes, self.n_tiers), dtype=np.float64
-        )
-        self._class_dirty = np.ones(self.n_classes, dtype=bool)
-        self._interned_idx = np.flatnonzero(self._class_of >= 0)
-        self._single_idx = np.flatnonzero(self._class_of < 0)
-        self.interned_segments = int(self._interned_idx.size)
-
     def _make_drain(self, i: int):
         def drain() -> None:
             self._drain_seg(i)
@@ -426,7 +324,8 @@ class ProcessArena:
 
     def detach(self) -> None:
         """Drain every segment and unhook the ledger sources, witness
-        cells and protection-change logs, and release the fault plan.
+        and debt cells and protection-change logs, and release the
+        fault plan.
 
         Called at the end of each engine run so processes hold no
         references into a stale arena (results may outlive the engine,
@@ -438,8 +337,7 @@ class ProcessArena:
             proc.pages.set_ledger_source(None, None)
             proc.pages.set_witness_cells(None)
             proc.pages.set_protect_log(False)
-            if self.intern:
-                proc.set_debt_cell(None)
+            proc.set_debt_cell(None)
         self.plan = None
 
     def flush_stats(self) -> None:
@@ -492,17 +390,10 @@ class ProcessArena:
     # ``QuantumEngine._tier_mass``)
     # ------------------------------------------------------------------
     def _note_mass_update(self, i: int, epoch: int) -> None:
-        """Write-through for ``mass_epoch``: the interned step's vector
-        mirror tracks the list, and any mass change dirties the row's
-        price (and its class, when interned) for the next fold."""
+        """Record row ``i``'s new mass epoch; any mass change dirties
+        the row's price for the next fold."""
         self.mass_epoch[i] = epoch
-        vec = self._mass_epoch_vec
-        if vec is not None:
-            vec[i] = epoch
-            self._price_dirty[i] = True
-            c = self._class_of[i]
-            if c >= 0:
-                self._class_dirty[c] = True
+        self._price_dirty[i] = True
 
     def _repair_mass(self, i: int, proc: Any, probs: np.ndarray) -> None:
         pages = proc.pages
@@ -648,30 +539,9 @@ class ProcessArena:
             row for row in self._rows
             if row[1].target_accesses is not None
         ]
-        if self.intern:
-            live = self._live_mask
-            self._dynamic_rows = [
-                row for row in self._dynamic_rows
-                if not row[1].finished
-            ]
-            for c, members in enumerate(self.class_members):
-                if not members.size or bool(live[members].all()):
-                    continue
-                alive = live[members]
-                self._class_of[members[~alive]] = -1
-                kept = members[alive]
-                if kept.size < 2:
-                    # A one-member class dissolves back to a singleton;
-                    # its cached price is the class mean, so force a
-                    # per-segment refold.
-                    self._class_of[kept] = -1
-                    self._price_dirty[kept] = True
-                    kept = kept[:0]
-                self.class_members[c] = kept
-                self._class_dirty[c] = True
-            self._interned_idx = np.flatnonzero(self._class_of >= 0)
-            self._single_idx = np.flatnonzero(self._class_of < 0)
-            self.interned_segments = int(self._interned_idx.size)
+        self._dynamic_rows = [
+            row for row in self._dynamic_rows if not row[1].finished
+        ]
 
     def _swap_probs(self, i: int, probs: np.ndarray, workload: Any) -> None:
         """Phase change: close segment ``i``'s open ledger run against
@@ -708,186 +578,10 @@ class ProcessArena:
     # ------------------------------------------------------------------
     def step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
         """Execute one (macro-)quantum for every process; returns the
-        fleet's per-tier byte demand."""
-        if self.intern:
-            return self._step_interned(start_ns, quantum_ns)
-        return self._step_reference(start_ns, quantum_ns)
+        fleet's per-tier byte demand.
 
-    def _step_reference(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """The uninterned per-segment step (the PR 8 arena path): the
-        bit-identity reference for singleton-class interned runs and the
-        baseline the ``class_dedup`` bench speedup is measured against."""
-        engine = self.engine
-        profiler = self.kernel.profiler
-        rows = self._rows
-        refs = self.probs_refs
-        m_epoch = self.mass_epoch
-        wf, rf, delay = self._wf, self._rf, self._delay
-        budget, n_vec = self._budget, self._n
-        live_mask = self._live_mask
-        retired = False
-
-        # ---- Phase 1: gather ------------------------------------------------
-        if profiler is not None:
-            profiler.push("arena_build")
-        budget.fill(float(quantum_ns))
-        stale: List[Any] = []
-        for row in rows:
-            i, proc, workload, pages = row
-            if proc.finished:
-                live_mask[i] = False
-                retired = True
-                continue
-            workload.advance(start_ns)
-            probs = workload.access_distribution()
-            if probs is not refs[i]:
-                self._swap_probs(i, probs, workload)
-            if m_epoch[i] != pages.epoch:
-                stale.append((i, proc))
-            if proc.pending_kernel_ns:
-                budget[i] = quantum_ns - proc.drain_pending_kernel(
-                    quantum_ns
-                )
-        if stale:
-            self._repair_mass_many(stale)
-        if profiler is not None:
-            profiler.pop()
-        if retired:
-            self._retire_rows()
-            rows = self._rows
-            retired = False
-        if not rows:
-            self._demand_out.fill(0.0)
-            return self._demand_out
-
-        # ---- Phase 2: pricing (one segment fold) ----------------------------
-        if profiler is not None:
-            profiler.push("segment_fold")
-        read_lats = engine._read_lat_list
-        write_lats = engine._write_lat_list
-        np.subtract(1.0, wf, out=rf)
-        mean_lat = self._mean_lat
-        mean_lat.fill(0.0)
-        coef, tmp = self._coef, self._tmp
-        for tier_id in range(self.n_tiers):
-            # Identical scalar sequence to the per-process pricing loop,
-            # element-wise: rf*read + wf*write, then mass * coef.
-            np.multiply(rf, read_lats[tier_id], out=coef)
-            np.multiply(wf, write_lats[tier_id], out=tmp)
-            coef += tmp
-            np.multiply(self.mass[:, tier_id], coef, out=tmp)
-            mean_lat += tmp
-        per_cost = self._per_cost
-        np.add(mean_lat, delay, out=per_cost)
-        np.maximum(budget, 0.0, out=budget)
-        n_vec.fill(0.0)
-        np.divide(budget, per_cost, out=n_vec, where=per_cost > 0.0)
-        # Finished segments price to zero in one multiply (True is an
-        # exact 1.0 factor, so live lanes are untouched bit for bit).
-        np.multiply(n_vec, live_mask, out=n_vec)
-        # Zero-mass lanes (idle trace phases) complete no accesses.
-        # ``sign`` of the non-negative per-segment mass total is an
-        # exact 1.0 for every lane with traffic, so normal segments
-        # stay bit-identical to the per-process path.
-        np.sum(self.mass, axis=1, out=tmp)
-        np.sign(tmp, out=tmp)
-        np.multiply(n_vec, tmp, out=n_vec)
-        n_list = n_vec.tolist()
-        if profiler is not None:
-            profiler.pop()
-
-        # ---- Phase 3: fault draw --------------------------------------------
-        faults = self._faults
-        have_faults = self._fault_phase(start_ns, quantum_ns)
-
-        # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
-        if profiler is not None:
-            profiler.push("segment_fold")
-        # One concatenated ledger account: extends every segment's share
-        # of the open run (zero for finished/stalled segments).
-        self.open_n += n_vec
-        mass = self.mass
-        if self._lazy_stats:
-            # Four vector adds instead of one record_accesses call per
-            # process; flush_stats folds the totals into each process's
-            # stats at retirement/observation/teardown.
-            self._acc_n += n_vec
-            self._acc_fast += np.multiply(
-                mass[:, FAST_TIER], n_vec, out=tmp
-            )
-            self._acc_user += np.multiply(n_vec, mean_lat, out=tmp)
-            self._acc_stall += np.multiply(n_vec, delay, out=tmp)
-        else:
-            fast_list = np.multiply(
-                mass[:, FAST_TIER], n_vec, out=tmp
-            ).tolist()
-            user_list = np.multiply(n_vec, mean_lat, out=tmp).tolist()
-            stall_list = np.multiply(n_vec, delay, out=tmp).tolist()
-            for row in rows:
-                i, proc, workload, pages = row
-                proc.record_accesses(
-                    n_list[i], fast_list[i], user_list[i], stall_list[i]
-                )
-        self._fold_latency(n_vec, faults, have_faults)
-        # Demand fold: mass * ((n * CACHE_LINE) * ((1-wf) + wf * bwm)),
-        # the per-process operation order, then one segment sum.
-        weight = self._weight_rows
-        bwm = self.kernel.machine.write_bw_multiplier
-        np.multiply(wf[:, None], bwm[None, :], out=weight)
-        weight += rf[:, None]
-        np.multiply(n_vec, CACHE_LINE_BYTES, out=self._tmp)
-        weight *= self._tmp[:, None]
-        np.multiply(mass, weight, out=self._demand_rows)
-        np.sum(self._demand_rows, axis=0, out=self._demand_out)
-        if profiler is not None:
-            profiler.pop()
-
-        # ---- Phase 7: policy hooks, finish checks, witness ------------------
-        hook = self._resolve_policy_hook(self.kernel.policy)
-        if hook is not None:
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                for row in rows:
-                    i = row[0]
-                    hook(row[1], refs[i], n_list[i], start_ns, quantum_ns)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-        acc_n = self._acc_n
-        for row in self._target_rows:
-            i, proc, workload, pages = row
-            if proc.stats.accesses + acc_n[i] >= proc.target_accesses:
-                proc.finished = True
-                live_mask[i] = False
-                retired = True
-        if engine.fusion:
-            # The witness only feeds the fusion-horizon check; without
-            # fusion nothing reads it, so skip the per-row update loop.
-            w_probs = self.witness_probs
-            w_epoch = self.witness_epoch
-            w_protect = self.witness_protect_epoch
-            for row in rows:
-                i, proc, workload, pages = row
-                w_probs[i] = refs[i]
-                w_epoch[i] = pages.epoch
-                w_protect[i] = pages.protect_epoch
-        if retired:
-            self._retire_rows()
-        return self._demand_out
-
-    # ------------------------------------------------------------------
-    # The interned step
-    # ------------------------------------------------------------------
-    def _step_interned(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """The equivalence-class step: O(dynamic + dirty + classes)
-        Python work per quantum, vectorised over the witness cells for
-        everything else.
-
-        Phase structure, FP operation order, and RNG consumption match
-        :meth:`_step_reference` exactly for every segment outside a
-        multi-member class (the singleton bit-identity contract);
-        members of a class share one aggregated price.
+        O(dynamic + dirty rows) Python work per quantum, vectorised over
+        the witness cells for everything else.
         """
         engine = self.engine
         profiler = self.kernel.profiler
@@ -901,13 +595,13 @@ class ProcessArena:
         # ---- Phase 1: gather (vectorised staleness/debt detection) ----------
         if profiler is not None:
             profiler.push("arena_build")
-        if quantum_ns != self._ss_quantum:
-            self._ss_valid = False
-            self._ss_quantum = quantum_ns
         if self._budget_tainted or self._budget_fill != float(quantum_ns):
+            # A new quantum length, or budgets a debt drain cut: the
+            # cached ``n`` vector is stale even when nothing else moved.
             budget.fill(float(quantum_ns))
             self._budget_fill = float(quantum_ns)
             self._budget_tainted = False
+            self._ss_valid = False
         for row in self._dynamic_rows:
             i, proc, workload, pages = row
             if proc.finished:
@@ -919,7 +613,7 @@ class ProcessArena:
             if probs is not refs[i]:
                 self._swap_probs(i, probs, workload)
         stale_buf = self._stale_buf
-        np.not_equal(cells[0], self._mass_epoch_vec, out=stale_buf)
+        np.not_equal(cells[0], self.mass_epoch, out=stale_buf)
         stale_buf &= live_mask
         stale_idx = np.flatnonzero(stale_buf)
         if stale_idx.size:
@@ -945,7 +639,7 @@ class ProcessArena:
             self._demand_out.fill(0.0)
             return self._demand_out
 
-        # ---- Phase 2: pricing (dirty rows and classes only) -----------------
+        # ---- Phase 2: pricing (dirty rows only) -----------------------------
         if profiler is not None:
             profiler.push("segment_fold")
         read_lats = engine._read_lat_list
@@ -962,9 +656,6 @@ class ProcessArena:
             self._read_lat_arr[:] = read_lats
             self._write_lat_arr[:] = write_lats
             self._price_dirty[:] = True
-            if self.n_classes:
-                self._class_dirty[:] = True
-            self._ss_valid = False
         wf, rf, delay = self._wf, self._rf, self._delay
         if not self._ss_valid:
             # ``rf`` only drifts with ``wf``, and every ``wf`` writer
@@ -973,69 +664,38 @@ class ProcessArena:
         mass = self.mass
         mean_lat, per_cost = self._mean_lat, self._per_cost
         dirty = self._price_dirty
-        class_dirty = self._class_dirty
-        repriced_before = self.repriced_segments
-        for c in range(self.n_classes):
-            members = self.class_members[c]
-            if not members.size:
-                continue
-            if class_dirty[c]:
-                # One class-level mass aggregation (the member mean)
-                # feeds one scalar pricing fold; the price scatters to
-                # every member.
-                cm = self._class_mass[c]
-                np.sum(mass[members], axis=0, out=cm)
-                cm /= members.size
-                crf = self._class_rf[c]
-                cwf = self._class_wf[c]
-                lat = 0.0
-                for tier_id in range(self.n_tiers):
-                    lat += cm[tier_id] * (
-                        crf * read_lats[tier_id]
-                        + cwf * write_lats[tier_id]
-                    )
-                mean_lat[members] = lat
-                per_cost[members] = lat + self._class_delay[c]
-                class_dirty[c] = False
-                self.repriced_segments += int(members.size)
-            else:
-                self.reprice_skipped_segments += int(members.size)
-        single = self._single_idx
-        if single.size:
-            refold = single[dirty[single]]
-            if refold.size:
-                # Masked refold, same per-element FP sequence as the
-                # reference fold -- cached rows equal recomputed rows
-                # bit for bit.
-                price_fold(
-                    mass,
-                    rf,
-                    wf,
-                    self._read_lat_arr,
-                    self._write_lat_arr,
-                    refold,
-                    mean_lat,
-                )
-                per_cost[refold] = mean_lat[refold] + delay[refold]
-                dirty[refold] = False
-                self.repriced_segments += int(refold.size)
-            self.reprice_skipped_segments += int(
-                single.size - refold.size
+        refold = np.flatnonzero(dirty)
+        if refold.size:
+            # Masked refold, same per-element FP sequence as a full fold:
+            # cached rows equal recomputed rows bit for bit.
+            price_fold(
+                mass,
+                rf,
+                wf,
+                self._read_lat_arr,
+                self._write_lat_arr,
+                refold,
+                mean_lat,
             )
-        if self.repriced_segments != repriced_before:
+            per_cost[refold] = mean_lat[refold] + delay[refold]
+            dirty[refold] = False
+            self.repriced_segments += int(refold.size)
             self._ss_valid = False
+        self.reprice_skipped_segments += self.n_segs - int(refold.size)
         if not self._ss_valid:
             np.maximum(budget, 0.0, out=budget)
             n_vec.fill(0.0)
             np.divide(
                 budget, per_cost, out=n_vec, where=per_cost > 0.0
             )
+            # Finished segments price to zero in one multiply (True is
+            # an exact 1.0 factor, so live lanes are untouched).
             np.multiply(n_vec, live_mask, out=n_vec)
-            # Zero-mass lanes (idle trace phases) complete no accesses;
-            # sign() of the non-negative mass total is an exact 1.0 for
-            # lanes with traffic (see _step_reference).
+            # Zero-mass lanes (idle trace phases) complete no accesses.
+            # ``sign`` of the non-negative per-segment mass total is an
+            # exact 1.0 for every lane with traffic.
             zm = self._tmp
-            np.sum(self.mass, axis=1, out=zm)
+            np.sum(mass, axis=1, out=zm)
             np.sign(zm, out=zm)
             np.multiply(n_vec, zm, out=n_vec)
         if profiler is not None:
@@ -1048,32 +708,26 @@ class ProcessArena:
         # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
         if profiler is not None:
             profiler.push("segment_fold")
+        # One concatenated ledger account: extends every segment's share
+        # of the open run (zero for finished/stalled segments).
         self.open_n += n_vec
-        tmp = self._tmp
-        # Interned arenas always have more than one segment, so stats
-        # are always lazy here (see _lazy_stats).
-        self._acc_n += n_vec
         bwm = self.kernel.machine.write_bw_multiplier
         if self._ss_valid and np.array_equal(bwm, self._bwm_cache):
             # Steady state: every product below is a function of
             # unchanged inputs, so the cached vectors equal what the
-            # recompute would produce bit for bit; the accumulators
-            # still take one addition per quantum (repeated addition is
-            # not reassociated, keeping singleton runs bit-identical).
-            self._acc_fast += self._fast_prod
-            self._acc_user += self._user_prod
-            self._acc_stall += self._stall_prod
+            # recompute would produce bit for bit.
             self._fold_latency(
                 n_vec, faults, have_faults, recompute=False
             )
         else:
             np.multiply(mass[:, FAST_TIER], n_vec, out=self._fast_prod)
-            self._acc_fast += self._fast_prod
             np.multiply(n_vec, mean_lat, out=self._user_prod)
-            self._acc_user += self._user_prod
             np.multiply(n_vec, delay, out=self._stall_prod)
-            self._acc_stall += self._stall_prod
             self._fold_latency(n_vec, faults, have_faults)
+            # Demand fold: mass * ((n * CACHE_LINE) * ((1-wf) + wf *
+            # bwm)), the per-process operation order, then one segment
+            # sum.
+            tmp = self._tmp
             weight = self._weight_rows
             np.multiply(wf[:, None], bwm[None, :], out=weight)
             weight += rf[:, None]
@@ -1083,6 +737,24 @@ class ProcessArena:
             np.sum(self._demand_rows, axis=0, out=self._demand_out)
             np.copyto(self._bwm_cache, bwm)
             self._ss_valid = True
+        if self._lazy_stats:
+            # Four vector adds instead of one record_accesses call per
+            # process (one addition per quantum each, never
+            # reassociated); flush_stats folds the totals into each
+            # process's stats at retirement/observation/teardown.
+            self._acc_n += n_vec
+            self._acc_fast += self._fast_prod
+            self._acc_user += self._user_prod
+            self._acc_stall += self._stall_prod
+        else:
+            for row in self._rows:
+                i = row[0]
+                row[1].record_accesses(
+                    float(n_vec[i]),
+                    float(self._fast_prod[i]),
+                    float(self._user_prod[i]),
+                    float(self._stall_prod[i]),
+                )
         if profiler is not None:
             profiler.pop()
 
@@ -1107,43 +779,14 @@ class ProcessArena:
                 live_mask[i] = False
                 retired = True
         if engine.fusion:
-            # Two vector copies from the write-through cells replace the
-            # reference step's per-row witness loop.
+            # The witness only feeds the fusion-horizon check: two
+            # vector copies from the write-through cells.
             np.copyto(self.witness_epoch, cells[0])
             np.copyto(self.witness_protect_epoch, cells[1])
             self.witness_probs = list(refs)
         if retired:
             self._retire_rows()
         return self._demand_out
-
-    # ------------------------------------------------------------------
-    # Interning introspection
-    # ------------------------------------------------------------------
-    def class_ledger_runs(self) -> List[tuple]:
-        """The merged per-class open ledger runs.
-
-        Returns ``(fingerprint, probs, total_n, n_members)`` per
-        non-empty class: members share one ``probs`` reference, so the
-        class's open ledger state is exactly the superposed run
-        ``(probs, sum_i n_i)``; each member's drain applies its own
-        ``n_i`` share (lazy thinning -- exact because
-        ``defer_accesses`` is linear in ``n``).  ``fingerprint`` is the
-        compiled-table cache key pair from
-        :func:`repro.workloads.base.distribution_fingerprint`, or
-        ``None`` for distributions born outside the table cache.
-        """
-        if not self.intern:
-            return []
-        return [
-            (
-                self.class_fingerprints[c],
-                self.class_probs[c],
-                float(self.open_n[members].sum()),
-                int(members.size),
-            )
-            for c, members in enumerate(self.class_members)
-            if members.size
-        ]
 
     def take_reprice_counters(self) -> tuple:
         """``(repriced, skipped)`` segment-repricing deltas since the
@@ -1190,14 +833,11 @@ class ProcessArena:
         # accounting prices the post-fault placement, the re-lookup the
         # per-process path performs.  Repairing other rows here would
         # change the later phases' inputs against the per-process path.
-        m_epoch = self.mass_epoch
-        stale = [
-            (i, self.processes[i])
-            for i in eligible.tolist()
-            if m_epoch[i] != cells[0, i]
-        ]
-        if stale:
-            self._repair_mass_many(stale)
+        stale = eligible[self.mass_epoch[eligible] != cells[0, eligible]]
+        if stale.size:
+            self._repair_mass_many(
+                [(i, self.processes[i]) for i in stale.tolist()]
+            )
             self._ss_valid = False
         return True
 
@@ -1213,7 +853,7 @@ class ProcessArena:
         segment vectors (the per-process dict accumulations, evaluated
         element-wise in the same order).
 
-        With ``recompute=False`` (the interned step's steady state) the
+        With ``recompute=False`` (the steady-state quantum cache) the
         ``reads`` / ``writes`` buffers still hold this quantum's counts
         -- mass, n, and the read/write split are unchanged -- and only
         the accumulations run.  The fault adjustment never mutates the

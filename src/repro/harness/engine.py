@@ -72,26 +72,16 @@ exact per-quantum path.
 O(n_procs) Python loop from the steady-state step: with ``arena=True``
 (the default; requires the fast path) every (macro-)quantum executes as
 one batched array program over a cross-process page arena
-(:mod:`repro.harness.arena`) -- one vectorised pricing solve, one
+(:mod:`repro.harness.arena`) -- a gather pass vectorised over
+write-through witness cells, pricing refolded only for dirty rows, one
 aggregate fault draw from a fleet-wide fault plan, one concatenated
-ledger account, one latency fold, one demand fold.  ``arena=False``
+ledger account, one latency fold, one demand fold, with a steady-state
+cache that skips the recompute while no input changed.  ``arena=False``
 keeps the per-process fast path as the arena's reference mode; a
 single-process arena is bit-identical to it, multi-process arenas are
 statistically equivalent (the fault plan consumes a dedicated
 ``engine.arena`` stream).  The steady-state fusion witness lives in the
 arena's per-segment epoch vectors instead of per-process buffers.
-
-**Distribution interning** (``docs/SIMULATION.md`` section 8) drops the
-arena's remaining O(segments) Python work to O(unique distributions):
-with ``intern=True`` (the default; requires the arena) multi-segment
-arenas group stationary segments that share one compiled distribution
-table into equivalence classes and execute the steady-state quantum per
-class -- cached pricing with per-class dirty bits over epoch witness
-cells, and merged class ledger runs with lazy per-segment thinning;
-faults come from the same fault plan as the uninterned step.  When
-every class is a singleton the interned step is bit-identical to the
-uninterned arena step; ``intern=False`` (``--no-intern``) keeps the
-uninterned step as the reference mode.
 """
 
 from __future__ import annotations
@@ -172,7 +162,6 @@ class QuantumEngine:
         fast_path: bool = True,
         fusion: bool = True,
         arena: bool = True,
-        intern: bool = True,
     ) -> None:
         if quantum_ns <= 0:
             raise ValueError("quantum must be positive")
@@ -188,11 +177,6 @@ class QuantumEngine:
         #: path (the arena's reference mode, CLI ``--no-arena``); like
         #: fusion, the arena requires the fast path.
         self.arena = bool(arena) and self.fast_path
-        #: distribution interning inside the arena (equivalence-class
-        #: stepping)?  ``False`` keeps the uninterned arena step (the
-        #: interning reference mode, CLI ``--no-intern``); interning
-        #: requires arena stepping.
-        self.intern = bool(intern) and self.arena
         #: lazily built :class:`repro.harness.arena.ProcessArena`;
         #: rebuilt whenever the fleet changes, torn down at run end
         self._arena = None
@@ -379,15 +363,7 @@ class QuantumEngine:
                         for name, delta in plan.take_counters().items():
                             if delta:
                                 obs.inc(name, delta)
-                    if arena_obj is not None and arena_obj.intern:
-                        obs.set_gauge(
-                            "arena.interned_classes",
-                            arena_obj.n_classes,
-                        )
-                        obs.set_gauge(
-                            "arena.interned_segments",
-                            arena_obj.interned_segments,
-                        )
+                    if arena_obj is not None:
                         repriced, skipped = (
                             arena_obj.take_reprice_counters()
                         )

@@ -46,11 +46,6 @@ class RunConfig:
     #: quantum); ``False`` keeps the per-process fast path as the
     #: arena's reference mode (CLI ``--no-arena``)
     arena: bool = True
-    #: distribution interning inside the arena (equivalence-class
-    #: stepping over shared compiled tables); ``False`` keeps the
-    #: uninterned arena step as the interning reference mode (CLI
-    #: ``--no-intern``)
-    intern: bool = True
 
     def __post_init__(self) -> None:
         if self.fast_pages <= 0 or self.slow_pages <= 0:
@@ -221,7 +216,6 @@ def run_experiment(
         fast_path=fast_path,
         fusion=config.fusion,
         arena=config.arena,
-        intern=config.intern,
     )
     end_ns = engine.run(
         config.duration_ns,

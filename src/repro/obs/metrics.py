@@ -246,17 +246,10 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "repro.harness.engine",
               "fused-window length per fused step, in quanta.",
               edges=_FUSION_EDGES_QUANTA),
-        _spec("arena.interned_classes", "gauge", "count",
-              "repro.harness.arena",
-              "multi-member distribution equivalence classes in the "
-              "interned arena."),
-        _spec("arena.interned_segments", "gauge", "count",
-              "repro.harness.arena",
-              "segments currently priced through an equivalence class."),
         _spec("arena.repriced_segments", "counter", "count",
               "repro.harness.arena",
-              "segment prices recomputed by the interned step (dirty "
-              "rows plus members of dirty classes)."),
+              "segment prices recomputed by the arena step (dirty "
+              "rows)."),
         _spec("arena.reprice_skipped_segments", "counter", "count",
               "repro.harness.arena",
               "segment re-pricings skipped because the epoch witness "

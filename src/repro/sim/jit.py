@@ -24,9 +24,9 @@ time in these kernels:
 ``price_fold``
     The arena's masked pricing fold: recompute
     ``mean_lat[i] = sum_t mass[i, t] * (rf[i]*read[t] + wf[i]*write[t])``
-    for a subset ``idx`` of segment rows.  The interned stepping path
-    re-prices only dirty singleton rows, so the fold takes the row
-    subset explicitly instead of sweeping every segment.
+    for a subset ``idx`` of segment rows.  The arena step re-prices
+    only dirty rows, so the fold takes the row subset explicitly
+    instead of sweeping every segment.
 
 Each has a pure-numpy implementation that is the default and the
 reference.  Setting ``CHRONO_JIT=1`` in the environment swaps in numba

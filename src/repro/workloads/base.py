@@ -104,12 +104,11 @@ def distribution_fingerprint(
 ) -> Optional[Tuple[str, str]]:
     """``(cache_key, table_name)`` for a cached table array, else ``None``.
 
-    The arena's distribution-interning layer groups segments by the
-    *identity* of their ``probs`` array (two workloads built from the
-    same :func:`table_key` parameters share one frozen array); this
-    resolves that identity back to the canonical key for reporting and
-    equivalence-class fingerprints.  Arrays that never went through
-    :func:`cached_tables` / :func:`seed_tables` have no fingerprint.
+    Two workloads built from the same :func:`table_key` parameters share
+    one frozen ``probs`` array; this resolves that array's *identity*
+    back to the canonical key for reporting.  Arrays that never went
+    through :func:`cached_tables` / :func:`seed_tables` have no
+    fingerprint.
     """
     if array is None:
         return None
@@ -287,7 +286,7 @@ class TraceWorkload(Workload):
     reference instead of copy-normalizing them -- the trace compiler
     uses this to hand every instance the *same* frozen
     :func:`cached_tables` array so the engine's identity-based fusion
-    witness and the arena's interning keys see shared tables.
+    witness sees shared tables.
     """
 
     name = "trace"

@@ -1,7 +1,7 @@
 """Trace compiler: raw address events -> fused-fast-path workloads.
 
 Replaying a recorded trace one address at a time would forfeit every
-batching win from the arena/fusion/interning stack.  This module
+batching win from the arena/fusion stack.  This module
 *compiles* traces instead: raw ``(timestamp_ns, pid, vpn, is_write)``
 event streams (or the recorder's ``.npz`` window format) are binned into
 per-window page histograms with vectorized, chunked accumulation, then a
@@ -12,8 +12,7 @@ distribution tables that plug straight into the engine:
 
 * phase tables are routed through :func:`~repro.workloads.base.cached_tables`
   keyed by a content digest, so same-pattern traces (and same-pattern
-  fleet tenants) share one frozen array -- the arena's
-  distribution-interning key;
+  fleet tenants) share one frozen array;
 * long phases give :class:`~repro.workloads.base.TraceWorkload` honest
   ``stable_until_ns`` horizons, so quantum fusion and the steady-state
   cache engage *within* phases instead of being defeated by per-window
@@ -91,8 +90,8 @@ class StationaryTableWorkload(Workload):
     Keeps the base no-op ``advance`` -- an infinite fusion horizon --
     and ``access_distribution`` returns the table array *itself*, so
     every process built from the same cached table presents one array
-    identity and the arena interns them into a single equivalence
-    class.  The compiler emits this for single-phase traces; the fleet
+    identity and the arena steps it as a static row (no per-quantum
+    ``advance``).  The compiler emits this for single-phase traces; the fleet
     traffic generator uses it for all non-shifting tenants.
     """
 
@@ -116,7 +115,7 @@ class StationaryTableWorkload(Workload):
         self._probs = probs
 
     def access_distribution(self, now_ns: Optional[int] = None) -> np.ndarray:
-        """The frozen table; identical object every call (interning key)."""
+        """The frozen table; identical object every call."""
         return self._probs
 
 
@@ -125,8 +124,7 @@ def intern_distribution(weights: np.ndarray) -> np.ndarray:
 
     The cache key is a content digest, so any two callers compiling the
     same histogram -- different traces, different fleet tenants --
-    receive the *same* frozen array and the arena's identity-keyed
-    interning groups them into one equivalence class.
+    receive the *same* frozen array.
     """
     weights = np.asarray(weights, dtype=np.float64)
     total = float(weights.sum())
@@ -247,7 +245,7 @@ class CompiledTrace:
         """Build the replay workload for this compiled trace.
 
         A single-phase trace becomes a :class:`StationaryTableWorkload`
-        (infinite fusion horizon, arena-internable); multi-phase traces
+        (infinite fusion horizon, a static arena row); multi-phase traces
         become a :class:`~repro.workloads.base.TraceWorkload` whose
         ``stable_until_ns`` reports the compiled phase boundaries.
         """

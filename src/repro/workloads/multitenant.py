@@ -34,16 +34,14 @@ def make_multitenant_processes(
     (tenant ``i`` gets ``stride = 1 + i % n_distinct``) so the fleet
     compiles exactly ``n_distinct`` distinct distribution tables, shared
     round-robin.  The default 1 keeps the paper's setup (every tenant on
-    the same uniform table); larger values drive the arena's
-    distribution-interning benchmark, where 1024 tenants share <= 8
-    tables.
+    the same uniform table); larger values build shared-table fleets
+    whose tenants nonetheless diverge in placement.
 
     ``base_delay_units`` adds a uniform think time to every tenant on
     top of the per-tenant stagger (tenant ``i`` stalls
     ``base_delay_units + i * delay_step_units`` units per access).  A
     fleet of compute-bound tenants (``delay_step_units=0`` plus a
-    nonzero base) keeps equal per-access cost -- so shared-table
-    tenants still intern into one class -- while holding aggregate
+    nonzero base) keeps equal per-access cost while holding aggregate
     bandwidth demand below tier saturation.
     """
     if n_tenants <= 0:

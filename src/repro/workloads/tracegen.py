@@ -1,11 +1,11 @@
-"""Fleet traffic generator: millions of users on the interned fast path.
+"""Fleet traffic generator: millions of users on the arena fast path.
 
 Chrono's Section 5.1.3 fleet is 50 identical tenants; real multi-tenant
 memory pressure comes from *skewed* fleets -- a few huge tenants, a long
 tail of small ones, load that breathes with the time of day, tenants
 arriving and leaving mid-run.  This module maps ``n_users`` simulated
 users onto ``n_tenants`` processes with exactly that structure, while
-keeping every tenant on the batched arena/fusion/interning fast path:
+keeping every tenant on the batched arena/fusion fast path:
 
 * **Zipf tenant popularity** -- tenant ``i`` serves a user share
   proportional to ``(i+1) ** -zipf_s``, so a 1024-tenant fleet carries a
@@ -15,9 +15,8 @@ keeping every tenant on the batched arena/fusion/interning fast path:
   factor, and the combined load maps onto per-tenant ``delay_units``
   (more load per tenant => less think time per access).
 * **Delay bucketing** -- per-tenant delays are quantized onto a small
-  geometric ladder, because the arena's interning key is the *exact*
-  ``(table identity, write_fraction, delay)`` triple: same-bucket
-  tenants share one equivalence class instead of fragmenting into 1024.
+  geometric ladder, so the fleet carries a few load levels instead of
+  1024 distinct think times.
 * **Shared pattern tables** -- the ``n_patterns`` page-popularity tables
   are built once under :func:`~repro.workloads.base.cached_tables`; all
   tenants on a pattern present one frozen array identity.
@@ -114,12 +113,12 @@ def make_traffic_processes(
     rank), modulated by a per-tenant diurnal factor sampled from its
     arrival phase; the resulting load maps onto a geometric
     ``delay_units`` ladder (hotter tenant => shorter think time) with
-    ``n_delay_buckets`` rungs so interning classes stay coarse.  A
+    ``n_delay_buckets`` rungs so load levels stay coarse.  A
     ``churn_fraction`` slice of tenants churns -- half exit mid-run via
     ``target_accesses``, half spawn mid-run via an idle lead-in phase --
     and a ``phase_shift_fraction`` slice cycles two pattern tables every
     ``phase_len_ns`` (default: a quarter of ``duration_ns``).  With both
-    fractions at 0 every tenant is stationary and internable.
+    fractions at 0 every tenant is stationary.
     """
     if n_users <= 0:
         raise ValueError("need at least one user")

@@ -286,7 +286,7 @@ class TestTraffic:
         assert code == 0
         out = capsys.readouterr().out
         assert "tenants           8" in out
-        assert "interned" in out
+        assert "tenants exited" in out
 
     def test_traffic_json_with_churn(self, capsys):
         code = main(
@@ -297,4 +297,4 @@ class TestTraffic:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_tenants"] == 8
         assert payload["throughput_per_sec"] > 0
-        assert payload["interned_segments"] >= 0
+        assert payload["tenants_exited"] >= 0

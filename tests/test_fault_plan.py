@@ -247,9 +247,7 @@ class TestProtectLog:
 class TestPlanCounters:
     def test_counters_explain_the_plan_upkeep(self):
         hub = ObsHub.create(metrics=True)
-        result = run_policy(
-            "linux-nb", arena=True, intern=False, obs=hub, **CONTENDED
-        )
+        result = run_policy("linux-nb", arena=True, obs=hub, **CONTENDED)
         counters = hub.snapshot()["counters"]
         # Every segment is read from prot_none before the first draw.
         assert counters["arena.fault_plan_resyncs"] >= CONTENDED["n_procs"]
@@ -281,10 +279,7 @@ class TestPlanCounters:
         arena = make_arena((64,))
         assert arena.plan is None
 
-    @pytest.mark.parametrize("intern", [True, False])
-    def test_both_arena_steps_draw_from_the_plan(self, intern):
+    def test_arena_step_draws_from_the_plan(self):
         hub = ObsHub.create(metrics=True)
-        run_policy(
-            "tpp", arena=True, intern=intern, obs=hub, **CONTENDED
-        )
+        run_policy("tpp", arena=True, obs=hub, **CONTENDED)
         assert hub.snapshot()["counters"]["arena.fault_plan_appended"] > 0

@@ -71,20 +71,23 @@ def run_policy(
     fusion=False,
     obs=None,
     seed=0,
-    intern=True,
+    fleet=None,
     **setup_overrides,
 ):
+    """One run on a pmbench fleet, or on ``fleet`` -- a
+    ``(workload family, builder kwargs)`` pair -- when given."""
     setup = StandardSetup(
         duration_ns=2 * SECOND, seed=seed, **setup_overrides
     )
     policy = setup.build_policy(policy_name)
-    processes = build_fleet(
-        setup, "pmbench", n_procs=n_procs, pages_per_proc=pages_per_proc
+    workload, kwargs = fleet or (
+        "pmbench", dict(n_procs=n_procs, pages_per_proc=pages_per_proc)
     )
+    processes = build_fleet(setup, workload, **kwargs)
     return run_experiment(
         processes,
         policy,
-        setup.run_config(arena=arena, fusion=fusion, intern=intern),
+        setup.run_config(arena=arena, fusion=fusion),
         obs=obs,
     )
 
@@ -129,18 +132,13 @@ class TestMultiProcessEquivalence:
     @pytest.mark.parametrize("policy_name", HINT_FAULT_POLICIES)
     def test_contended_fleet_agrees(self, policy_name):
         """A contended fleet (FMAR < 1) with live scans: the fault plan
-        carries every hint fault, so this is where its law shows.  The
-        uninterned arena isolates the plan from class pricing (the
-        interning bias of ROADMAP item 1 is covered in
-        ``test_arena_interning``).  Three-seed means must agree within
-        the per-process path's own three-seed range, measured over
-        these policies at this config: at most 0.035 on throughput
-        (arms) and 0.106 on FMAR (nomad)."""
+        carries every hint fault, so this is where its law shows.
+        Three-seed means must agree within the per-process path's own
+        three-seed range, measured over these policies at this config:
+        at most 0.035 on throughput (arms) and 0.106 on FMAR
+        (nomad)."""
         arena = [
-            run_policy(
-                policy_name, arena=True, intern=False, seed=seed,
-                **CONTENDED,
-            )
+            run_policy(policy_name, arena=True, seed=seed, **CONTENDED)
             for seed in (0, 1, 2)
         ]
         reference = [
@@ -162,15 +160,37 @@ class TestMultiProcessEquivalence:
         assert reference.engine.arena_steps == 0
 
 
+#: fleets for the fusion composition check: the default two pmbench
+#: processes, and eight multitenant tenants sharing two tables
+FUSION_FLEETS = {
+    "pmbench": None,
+    "shared-tables": (
+        "multitenant",
+        dict(
+            n_tenants=8,
+            pages_per_tenant=256,
+            delay_step_units=0,
+            n_distinct=2,
+        ),
+    ),
+}
+
+
 class TestFusionComposition:
-    def test_arena_fuses_and_stays_equivalent(self):
+    @pytest.mark.parametrize("fleet", sorted(FUSION_FLEETS))
+    def test_arena_fuses_and_stays_equivalent(self, fleet):
         """Fusion composes with the arena: the witness lives in the
         arena's per-segment epoch vectors, macro-quanta still engage,
         and the fused arena matches the per-quantum arena within the
         fusion tolerance."""
         hub = ObsHub.create(metrics=True)
-        fused = run_policy("memtis", arena=True, fusion=True, obs=hub)
-        stepped = run_policy("memtis", arena=True, fusion=False)
+        fleet = FUSION_FLEETS[fleet]
+        fused = run_policy(
+            "memtis", arena=True, fusion=True, obs=hub, fleet=fleet
+        )
+        stepped = run_policy(
+            "memtis", arena=True, fusion=False, fleet=fleet
+        )
         assert hub.snapshot()["counters"]["engine.fused_quanta"] > 0
         assert fused.throughput_per_sec == pytest.approx(
             stepped.throughput_per_sec, rel=0.02
@@ -252,6 +272,20 @@ class TestSegmentRetirement:
         # The live row set no longer carries the finished segment.
         rows = engine._arena._rows if engine._arena else []
         assert all(row[1] is not quick for row in rows)
+
+    def test_finished_process_stays_retired_across_runs(self):
+        """Each ``run`` builds a fresh arena; one built over a process
+        that already finished retires it up front and runs the rest."""
+        quick = make_process(pid=1, n_pages=64)
+        steady = make_process(pid=2, n_pages=64)
+        quick.target_accesses = 1_000.0
+        _, engine = build_engine([quick, steady])
+        engine.run(SECOND)
+        assert quick.finished
+        done, steady_before = quick.stats.accesses, steady.stats.accesses
+        engine.run(SECOND)
+        assert quick.stats.accesses == done
+        assert steady.stats.accesses > steady_before
 
     def test_retirement_matches_reference_mode(self):
         results = []

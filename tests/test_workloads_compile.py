@@ -182,7 +182,7 @@ class TestCompiledTrace:
         )
         workload = compiled.to_workload()
         assert isinstance(workload, StationaryTableWorkload)
-        # Same frozen object every call: the arena interning key.
+        # Same frozen object every call: the fusion witness's identity.
         assert workload.access_distribution() is (
             workload.access_distribution()
         )

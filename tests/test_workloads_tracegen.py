@@ -59,7 +59,7 @@ class TestFleet:
             id(p.workload.access_distribution()) for p in processes
         }
         # 16 tenants present at most n_patterns distinct table
-        # identities: the arena interning key.
+        # identities: one cached table per pattern.
         assert len(tables) <= 4
         assert all(
             isinstance(p.workload, StationaryTableWorkload)
@@ -85,7 +85,7 @@ class TestFleet:
             for p in processes
         }
         # Every tenant pair sits a whole power-of-two apart on the
-        # ladder, so interning classes stay coarse.
+        # ladder, so load levels stay coarse.
         assert all(
             np.isclose(r, 2.0 ** round(np.log2(r)), rtol=1e-9)
             for r in ratios
