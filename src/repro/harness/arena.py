@@ -40,9 +40,11 @@ One quantum (:meth:`ProcessArena.step`) is then:
    dirty bit rides every mass update), then ``n = max(budget, 0) /
    (mean_lat + delay)`` over all segments at once -- the scalar
    operations the per-process path performs, evaluated element-wise,
-3. one *aggregate fault draw* from the arena's :class:`FaultPlan`:
-   active (hot) protected pages of every segment share one Bernoulli
-   vector, dormant ones one ``K ~ Poisson(sum_i n_i * mass_i)`` draw
+3. one *aggregate fault draw* from the arena's :class:`FaultPlan`,
+   which holds a slot for every protected page that can fault
+   (positive access probability): active (hot) slots of every segment
+   share one Bernoulli vector, dormant ones one
+   ``K ~ Poisson(sum_i n_i * mass_i)`` draw
    placed by an n-weighted inverse CDF -- exact by Poisson
    superposition / thinning.  The plan's upkeep is O(changes): resolved
    faults tombstone their slots in place, and per-page-state
@@ -125,8 +127,9 @@ class ProcessArena:
         self.concat_probs = np.zeros(total, dtype=np.float64)
         self.concat_tier = np.zeros(total, dtype=np.int8)
         #: the *original* immutable distribution array per segment --
-        #: ledger runs and witnesses hold these by reference (the
-        #: concatenated copy above can never serve identity checks)
+        #: ledger runs hold these by reference and the fusion horizon
+        #: compares workloads' distributions against them by identity
+        #: (the concatenated copy above can never serve identity checks)
         self.probs_refs: List[Optional[np.ndarray]] = [None] * n_segs
         # Per-segment tier-mass rows, the cache the per-process path
         # keeps in ``_ProcessBuffers``: keyed by (probs identity,
@@ -140,12 +143,12 @@ class ProcessArena:
         # segment against ``probs_refs``.  ``_drain_seg`` lazily moves a
         # segment's share into its PageState pending ledger.
         self.open_n = np.zeros(n_segs, dtype=np.float64)
-        # Steady-state witness vectors (the fusion contract): what the
-        # last quantum ran against and the state it left behind.
-        self.witness_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self.witness_protect_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self.witness_probs: List[Optional[np.ndarray]] = [None] * n_segs
-        self._index = {p.pid: i for i, p in enumerate(self.processes)}
+        #: steady-state witness (the fusion contract): the placement and
+        #: protect epochs each segment's last quantum left behind, rows
+        #: aligned with ``_cells[0:2]``; -1 until the first step.  The
+        #: distribution it ran against is ``probs_refs`` itself, which
+        #: only a step swaps.
+        self.witness_epochs = np.full((2, n_segs), -1, dtype=np.int64)
         # Per-step scratch vectors (all O(n_segs)).
         self._wf = np.zeros(n_segs, dtype=np.float64)
         self._rf = np.zeros(n_segs, dtype=np.float64)
@@ -251,14 +254,17 @@ class ProcessArena:
             FaultPlan(self) if n_segs > 1 else None
         )
         #: rows that still need the per-quantum ``advance`` /
-        #: ``access_distribution`` calls: everything but stationary
-        #: :class:`Workload` subclasses with an identity-stable
-        #: distribution, for which both calls are no-ops
+        #: ``access_distribution`` calls and the fusion horizon's
+        #: stability check: everything but stationary :class:`Workload`
+        #: subclasses with an identity-stable distribution and no
+        #: stability bound, for which all three are no-ops
         self._dynamic_rows = [
             row for row in self._rows
             if not (
                 isinstance(row[2], Workload)
                 and type(row[2]).advance is Workload.advance
+                and type(row[2]).stable_until_ns
+                is Workload.stable_until_ns
                 and row[2].access_distribution() is self.probs_refs[row[0]]
             )
         ]
@@ -506,21 +512,6 @@ class ProcessArena:
             # clamping it whole is cheaper than tracking replayed rows.
             mass_flat = self.mass.reshape(-1)
             np.maximum(mass_flat, 0.0, out=mass_flat)
-
-    # ------------------------------------------------------------------
-    # Fusion witness
-    # ------------------------------------------------------------------
-    def witness(self, process: Any):
-        """``(probs, epoch, protect_epoch)`` from the last quantum, or
-        ``None`` when this process has no arena witness yet."""
-        i = self._index.get(process.pid)
-        if i is None or self.witness_epoch[i] < 0:
-            return None
-        return (
-            self.witness_probs[i],
-            int(self.witness_epoch[i]),
-            int(self.witness_protect_epoch[i]),
-        )
 
     # ------------------------------------------------------------------
     # Hot-loop maintenance
@@ -779,11 +770,9 @@ class ProcessArena:
                 live_mask[i] = False
                 retired = True
         if engine.fusion:
-            # The witness only feeds the fusion-horizon check: two
-            # vector copies from the write-through cells.
-            np.copyto(self.witness_epoch, cells[0])
-            np.copyto(self.witness_protect_epoch, cells[1])
-            self.witness_probs = list(refs)
+            # The witness only feeds the fusion-horizon check: one copy
+            # from the write-through cells.
+            np.copyto(self.witness_epochs, cells[:2])
         if retired:
             self._retire_rows()
         return self._demand_out
@@ -968,11 +957,14 @@ def _fit(arr: np.ndarray, n: int) -> np.ndarray:
 class FaultPlan:
     """One hint-fault plan over a multi-segment arena's address space.
 
-    Every protected page owns one *slot*.  Pages whose per-quantum touch
-    probability was at least ``FAULT_DORMANT_MAX_TOUCH`` when they
-    entered get an *active* slot and one Bernoulli draw
-    ``1 - exp(-n_i p)`` each; the rest share *dormant* slots and one
-    ``Poisson`` draw placed by inverse CDF.  The dormant CDF is a plain
+    Every protected page that can fault -- positive access probability
+    ``p`` under its segment's current distribution -- owns one *slot*;
+    zero-rate pages own none (they cannot fault, and ``_resolve``
+    divides by the rate).  Pages whose per-quantum touch probability was
+    at least ``FAULT_DORMANT_MAX_TOUCH`` when they entered get an
+    *active* slot and one Bernoulli draw ``1 - exp(-n_i p)`` each; the
+    rest share *dormant* slots and one ``Poisson`` draw placed by
+    inverse CDF.  The dormant CDF is a plain
     cumulative sum of ``p`` over consecutive *chunks* (runs of slots of
     one segment), so weighting it by each segment's own ``n_i`` is one
     O(chunks) cumsum per draw: a draw picks a chunk by its weighted
@@ -984,13 +976,14 @@ class FaultPlan:
     pages the protection-change logs report unprotected, are tombstoned
     in place: an active slot's rate drops to zero, a dormant slot keeps
     its CDF band and draws landing on it are discarded (Poisson
-    thinning, exact).  Pages the logs report protected are appended.  A
-    segment is resynced from its ``prot_none`` before the first draw,
-    after a distribution swap and when its log overflowed.  The slot
-    tables are rebuilt -- from the live slots, in one vectorised pass --
-    only when dead slots outnumber live ones or the chunk table outgrows
-    the fleet; the active table alone is compacted whenever its dead
-    slots outnumber its live ones.
+    thinning, exact).  Pages the logs report protected are appended if
+    their rate is positive.  A segment is resynced from its
+    ``prot_none`` before the first draw, after a distribution swap (which
+    may turn zero-rate pages positive and back) and when its log
+    overflowed.  The slot tables are rebuilt -- from the live slots, in
+    one vectorised pass -- only when dead dormant slots outnumber live
+    ones or the chunk table outgrows the fleet; the active table alone is
+    compacted whenever its dead slots outnumber its live ones.
     """
 
     def __init__(self, arena: ProcessArena) -> None:
@@ -1019,8 +1012,9 @@ class FaultPlan:
         self.c_seg = np.empty(0, dtype=np.int64)
         self.c_end = np.empty(0, dtype=np.int64)
         self.a_n = self.d_n = self.c_n = 0
-        #: live slots (``a_live`` of them active) and dead slots
-        self.live = self.a_live = self.dead = 0
+        #: live active and dormant slots (the rest of ``a_n`` / ``d_n``
+        #: are tombstones)
+        self.a_live = self.d_live = 0
         #: protect epoch each segment's log was last drained at, and the
         #: segments to re-read from ``prot_none`` (all, before the first
         #: draw; then those whose distribution swapped)
@@ -1051,11 +1045,14 @@ class FaultPlan:
     def _rebuild(self, n_vec: np.ndarray) -> None:
         """Rebuild the slot tables from the live slots alone: dead slots
         go, chunks merge, and the active/dormant split is redone at the
-        current ``n``."""
+        current ``n``.  O(slots): the live pages are gathered from the
+        tables, not searched for in the page map."""
         self.rebuilds += 1
-        live = np.flatnonzero(self.slot_of)
+        a_page, d_page = self.a_page[: self.a_n], self.d_page[: self.d_n]
+        live = np.concatenate([a_page[a_page >= 0], d_page[d_page >= 0]])
+        live.sort()
         self.a_n = self.d_n = self.c_n = 0
-        self.live = self.a_live = self.dead = 0
+        self.a_live = self.d_live = 0
         self._append(live, n_vec)
 
     def _compact_active(self) -> None:
@@ -1069,7 +1066,6 @@ class FaultPlan:
             arr = getattr(self, name)
             arr[: keep.size] = arr[keep]
         self.slot_of[self.a_page[: keep.size]] = np.arange(1, keep.size + 1)
-        self.dead -= n - keep.size
         self.a_n = keep.size
 
     def _apply_changes(self, n_vec: np.ndarray) -> None:
@@ -1108,28 +1104,31 @@ class FaultPlan:
         if kills:
             self._tombstone(np.concatenate(kills))
         if adds:
-            added = np.concatenate(adds)
-            self.appended += added.size
-            self._append(added, n_vec)
+            self.appended += self._append(np.concatenate(adds), n_vec)
 
     def _tombstone(self, g: np.ndarray) -> None:
+        """Kill the slots of pages ``g`` (every one of which owns one)."""
         slots = self.slot_of[g]
         active = slots[slots > 0] - 1
         self.a_page[active] = -1
         self.a_p[active] = 0.0
         self.a_live -= active.size
-        self.d_page[-slots[slots < 0] - 1] = -1
+        dormant = -slots[slots < 0] - 1
+        self.d_page[dormant] = -1
+        self.d_live -= dormant.size
         self.slot_of[g] = 0
-        self.live -= g.size
-        self.dead += g.size
         self.tombstoned += g.size
 
-    def _append(self, g: np.ndarray, n_vec: np.ndarray) -> None:
-        """Give slots to pages ``g`` (ascending global indices)."""
-        if not g.size:
-            return
-        seg = np.searchsorted(self.seg_starts, g, side="right") - 1
+    def _append(self, g: np.ndarray, n_vec: np.ndarray) -> int:
+        """Give slots to those of pages ``g`` (ascending global indices)
+        that can fault; returns the number of slots appended."""
         p = self.arena.concat_probs[g]
+        can = p > 0.0
+        if not can.all():
+            g, p = g[can], p[can]
+        if not g.size:
+            return 0
+        seg = np.searchsorted(self.seg_starts, g, side="right") - 1
         # The split only steers cost (both laws are exact): the
         # per-process path's ``0.02 / n`` cut at the segment's current n.
         active = p >= self.max_touch / np.maximum(n_vec[seg], 1.0)
@@ -1167,16 +1166,25 @@ class FaultPlan:
             self.c_seg[c0:c1] = sd[ends - 1]
             self.c_end[c0:c1] = ends + d0
             self.c_n = c1
-        self.live += g.size
+            self.d_live += gd.size
+        return g.size
 
     # ------------------------------------------------------------------
     # The draw
     # ------------------------------------------------------------------
     def refresh(self, n_vec: np.ndarray) -> None:
         """Bring the slots up to date with every segment's protected
-        set (``n_vec`` steers the active/dormant split of new slots)."""
+        set (``n_vec`` steers the active/dormant split of new slots).
+
+        Afterwards every live slot's page is protected and has positive
+        rate under its segment's current distribution.  The tables are
+        rebuilt when dead dormant slots outnumber live ones or the chunk
+        table overflows; dead active slots alone never trigger a rebuild
+        (the live set can be small enough that they would on every
+        burst of faults) -- the active table is compacted instead.
+        """
         self._apply_changes(n_vec)
-        if self.dead > self.live or self.c_n > self.max_chunks:
+        if self.d_n > 2 * self.d_live or self.c_n > self.max_chunks:
             self._rebuild(n_vec)
         elif self.a_n > 2 * self.a_live:
             self._compact_active()
@@ -1228,9 +1236,8 @@ class FaultPlan:
                 starts = np.r_[0, c_end[:-1]]
                 np.clip(slots, starts[j], c_end[j] - 1, out=slots)
                 g = self.d_page[np.unique(slots)]
-                # Dead slots thin the draw; zero-rate pages cannot fault.
-                g = g[g >= 0]
-                parts.append(g[self.arena.concat_probs[g] > 0.0])
+                # Dead slots thin the draw.
+                parts.append(g[g >= 0])
         if parts:
             touched = np.sort(np.concatenate(parts))
             if touched.size:

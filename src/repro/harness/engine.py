@@ -54,9 +54,10 @@ steady-state stepping cost from O(quanta) to O(kernel events): before
 each step the engine peeks the kernel timer queue
 (:meth:`Kernel.next_event_ns`) and, when every process is provably in
 steady state -- distribution array unchanged (identity), placement
-epoch unchanged, protection epoch unchanged, workload stable through
-the window -- it fuses all quanta up to the event horizon into one
-macro-quantum of ``n·K`` nanoseconds.  One ledger run, one merged
+epoch unchanged, protection epoch unchanged, no kernel debt below one
+quantum, workload stable through the window, access target not
+reachable inside it -- it fuses all quanta up to the event horizon into
+one macro-quantum of ``n·K`` nanoseconds.  One ledger run, one merged
 fault draw (exact by Poisson merging: the first-arrival law over the
 fused window equals the per-quantum composition), one latency fold,
 one contention evaluation carried from the converged previous demand.
@@ -66,7 +67,12 @@ Policies bound fusion through ``needs_per_quantum`` /
 preserves per-quantum stepping for equivalence gating.  When fusion
 never engages the trajectory is bit-identical to the reference mode:
 the horizon check consumes no RNG and a one-quantum step executes the
-exact per-quantum path.
+exact per-quantum path.  In arena mode the witness and debt bounds are
+vector compares over the arena's cells, and only its dynamic rows
+(stability, distribution identity) and target rows (access target,
+counting the arena's unflushed accesses) are checked one by one.  With
+a hub attached, every step counts the bound that set its width
+(``engine.fusion_limited_<bound>``).
 
 **Arena stepping** (``docs/SIMULATION.md`` section 7) removes the last
 O(n_procs) Python loop from the steady-state step: with ``arena=True``
@@ -81,13 +87,13 @@ keeps the per-process fast path as the arena's reference mode; a
 single-process arena is bit-identical to it, multi-process arenas are
 statistically equivalent (the fault plan consumes a dedicated
 ``engine.arena`` stream).  The steady-state fusion witness lives in the
-arena's per-segment epoch vectors instead of per-process buffers.
+arena's epoch matrix instead of per-process buffers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -289,7 +295,12 @@ class QuantumEngine:
                     )
                 )
                 n_fused = 1
-                if fusion_on and quantum == self.quantum_ns:
+                # The bound that set this step's width, counted by the
+                # obs block (``None`` when fusion is off for the run).
+                limit = None
+                if fusion_on and quantum != self.quantum_ns:
+                    limit = "run_end"
+                elif fusion_on:
                     # A fused window holds one contention vector for its
                     # whole span, so fusion additionally requires the
                     # contention feedback loop to have converged: a
@@ -305,9 +316,11 @@ class QuantumEngine:
                             * prev_multipliers
                         ).all()
                     ):
-                        n_fused = self._fusion_horizon(
+                        n_fused, limit = self._fusion_horizon(
                             start, end_ns, observe_bound, max_fuse
                         )
+                    else:
+                        limit = "contention"
                 prev_multipliers = multipliers
                 macro_ns = quantum * n_fused
                 machine = self.kernel.machine
@@ -343,6 +356,8 @@ class QuantumEngine:
                 obs = self.kernel.obs
                 if obs is not None:
                     obs.inc("engine.quanta", n_fused)
+                    if limit is not None:
+                        obs.inc("engine.fusion_limited_" + limit)
                     gauges = self.kernel.machine.obs_gauges(
                         self._multipliers
                     )
@@ -439,8 +454,9 @@ class QuantumEngine:
         end_ns: int,
         next_observe_ns: Optional[int],
         max_fuse: Optional[int],
-    ) -> int:
-        """Number of quanta safely fusable into one macro-quantum (>= 1).
+    ) -> Tuple[int, str]:
+        """Number of quanta safely fusable into one macro-quantum (>= 1),
+        and the bound that set it.
 
         Every bound below shares one formula: per-quantum stepping fires
         anything scheduled at time ``X`` at the first quantum boundary at
@@ -452,42 +468,91 @@ class QuantumEngine:
         policy's ``max_fusion_quanta``.  Any process not provably in
         steady state -- distribution array changed, pages migrated,
         protection changed since its last quantum -- returns 1 (no
-        fusion).  Consumes no RNG, so a 1-quantum step stays bit-identical
-        to reference stepping.
+        fusion), as does kernel debt below one quantum.  Consumes no
+        RNG, so a 1-quantum step stays bit-identical to reference
+        stepping.
+
+        The bound names the ``engine.fusion_limited_<bound>`` counter
+        the step counts under: ``run_end``, ``event``, ``observer``,
+        ``max_quanta``, ``witness``, ``debt``, ``stability`` or
+        ``target`` (the first of tied bounds, in that order).  In arena
+        mode the witness and debt bounds are vector compares over the
+        arena's cells, and only its dynamic and target rows get
+        per-row checks (:meth:`_row_horizon`).
         """
         q = self.quantum_ns
         # Whole quanta left in the run; a trailing partial quantum runs
         # unfused.
         n = (end_ns - start_ns) // q
         if n <= 1:
-            return 1
-        horizon = self.kernel.next_event_ns()
-        if horizon is not None:
-            if horizon <= start_ns:
-                return 1
-            n = min(n, -(-(horizon - start_ns) // q))
-        if next_observe_ns is not None:
-            if next_observe_ns <= start_ns:
-                return 1
-            n = min(n, -(-(next_observe_ns - start_ns) // q))
-        if max_fuse is not None:
-            n = min(n, int(max_fuse))
-        if n <= 1:
-            return 1
-        for process in self.kernel.processes:
-            if process.finished:
-                continue
-            witness = self._steady_witness(process)
-            if witness is None:
-                # First quantum for this process: no steady-state witness.
-                return 1
-            w_probs, w_epoch, w_protect_epoch = witness
-            pages = process.pages
-            if (
-                w_epoch != pages.epoch
-                or w_protect_epoch != pages.protect_epoch
-            ):
-                return 1
+            return 1, "run_end"
+        bound = "run_end"
+
+        def quanta_until(at_ns: Optional[int]) -> Optional[int]:
+            return None if at_ns is None else -(-(at_ns - start_ns) // q)
+
+        for name, k in (
+            ("event", quanta_until(self.kernel.next_event_ns())),
+            ("observer", quanta_until(next_observe_ns)),
+            ("max_quanta", max_fuse),
+        ):
+            if k is not None and k < n:
+                if k <= 1:
+                    return 1, name
+                n, bound = int(k), name
+        if self.arena:
+            arena = self._arena
+            if arena is None or arena.processes != self.kernel.processes:
+                # No step of this fleet recorded a witness yet.
+                return 1, "witness"
+            live = arena._live_mask
+            # The witness: placement and protect epochs unchanged since
+            # the last quantum (a -1 witness never matches an epoch).
+            moved = (arena._cells[:2] != arena.witness_epochs).any(axis=0)
+            if (moved & live).any():
+                return 1, "witness"
+            debt = arena._debt_cells
+            owed = debt[(debt > 0.0) & live]
+            min_debt = float(owed.min()) if owed.size else 0.0
+            refs, acc_n = arena.probs_refs, arena._acc_n
+            dynamic = (
+                (row[2], refs[row[0]]) for row in arena._dynamic_rows
+            )
+            targets = (
+                (row[1], float(acc_n[row[0]]))
+                for row in arena._target_rows
+            )
+        else:
+            live_procs = [
+                p for p in self.kernel.processes if not p.finished
+            ]
+            for process in live_procs:
+                buffers = self._buffers.get(process.pid)
+                if buffers is None or buffers.fusion_probs is None:
+                    # First quantum for this process: no witness.
+                    return 1, "witness"
+                pages = process.pages
+                if (
+                    buffers.fusion_epoch != pages.epoch
+                    or buffers.fusion_protect_epoch != pages.protect_epoch
+                ):
+                    return 1, "witness"
+            min_debt = min(
+                (
+                    p.pending_kernel_ns for p in live_procs
+                    if p.pending_kernel_ns > 0.0
+                ),
+                default=0.0,
+            )
+            dynamic = (
+                (p.workload, self._buffers[p.pid].fusion_probs)
+                for p in live_procs
+            )
+            targets = (
+                (p, 0.0) for p in live_procs
+                if p.target_accesses is not None
+            )
+        if min_debt > 0.0:
             # Pending kernel debt (e.g. a migration burst's cost) makes
             # upcoming quanta heterogeneous: full-stall quanta execute
             # zero accesses, then a mixed quantum drains the remainder.
@@ -496,74 +561,72 @@ class QuantumEngine:
             # is concave) would see a different input if a fused window
             # spanned the stall->recovery transition.  Pure-stall
             # windows are exact (zero accesses either way), so cap the
-            # horizon at the number of whole stalled quanta and let the
-            # mixed quantum run unfused.
-            debt = process.pending_kernel_ns
-            if debt > 0.0:
-                stall_quanta = int(debt // q)
-                if stall_quanta < 1:
-                    return 1
-                n = min(n, stall_quanta)
-                if n <= 1:
-                    return 1
-            workload = process.workload
+            # horizon at the smallest debtor's whole stalled quanta and
+            # let the mixed quantum run unfused.
+            stall_quanta = int(min_debt // q)
+            if stall_quanta <= 1:
+                return 1, "debt"
+            if stall_quanta < n:
+                n, bound = stall_quanta, "debt"
+        return self._row_horizon(n, bound, start_ns, dynamic, targets)
+
+    def _row_horizon(
+        self,
+        n: int,
+        bound: str,
+        start_ns: int,
+        dynamic: Iterable[Tuple[Any, np.ndarray]],
+        targets: Iterable[Tuple[SimProcess, float]],
+    ) -> Tuple[int, str]:
+        """The per-process fusion bounds, applied to ``(n, bound)``.
+
+        ``dynamic`` holds ``(workload, probs)`` pairs, ``probs`` the
+        array the workload's last quantum ran against: each gets the
+        stability bound and the distribution-identity check.
+        ``targets`` holds ``(process, unflushed)`` pairs, ``unflushed``
+        the accesses the arena has not yet folded into
+        ``process.stats``: each gets the access-target bound.
+        """
+        q = self.quantum_ns
+        for workload, probs in dynamic:
             # Duck-typed workloads predating the fusion contract get no
             # stability guarantee: treat them like ``stable_until_ns``
             # returning ``now`` (fusion disabled, stepping unchanged).
             stable_fn = getattr(workload, "stable_until_ns", None)
             stable = start_ns if stable_fn is None else stable_fn(start_ns)
             if stable is not None:
-                if stable <= start_ns:
-                    return 1
-                n = min(n, -(-(stable - start_ns) // q))
-                if n <= 1:
-                    return 1
+                k = -(-(stable - start_ns) // q)
+                if k < n:
+                    if k <= 1:
+                        return 1, "stability"
+                    n, bound = k, "stability"
             # ``advance`` is idempotent and consumes no RNG; the step
             # repeats it.  The distribution for the upcoming quantum must
             # be the exact array the last quantum ran against.
             workload.advance(start_ns)
-            if workload.access_distribution() is not w_probs:
-                return 1
-            if process.target_accesses is not None:
-                remaining = (
-                    process.target_accesses - process.stats.accesses
+            if workload.access_distribution() is not probs:
+                return 1, "witness"
+        for process, unflushed in targets:
+            remaining = process.target_accesses - (
+                process.stats.accesses + unflushed
+            )
+            if remaining > 0:
+                # A quantum cannot complete more accesses than budget
+                # divided by the cheapest possible per-access cost
+                # (fastest tier, no contention), so the finishing
+                # quantum index is at least ceil(remaining / cap) --
+                # fusing up to it cannot overshoot the target.
+                workload = process.workload
+                cap = q / (
+                    self._min_access_cost_ns(workload.write_fraction)
+                    + workload.delay_ns_per_access
                 )
-                if remaining > 0:
-                    # A quantum cannot complete more accesses than budget
-                    # divided by the cheapest possible per-access cost
-                    # (fastest tier, no contention), so the finishing
-                    # quantum index is at least ceil(remaining / cap) --
-                    # fusing up to it cannot overshoot the target.
-                    cap = q / (
-                        self._min_access_cost_ns(workload.write_fraction)
-                        + workload.delay_ns_per_access
-                    )
-                    n = min(n, max(1, math.ceil(remaining / cap)))
-                    if n <= 1:
-                        return 1
-        return int(n)
-
-    def _steady_witness(self, process: SimProcess):
-        """The last quantum's steady-state witness for ``process``:
-        ``(probs, epoch, protect_epoch)``, or ``None`` when no quantum
-        has recorded one yet.
-
-        In arena mode the witness lives in the arena's per-segment
-        vectors; otherwise in the per-process buffers.
-        """
-        if self.arena:
-            arena = self._arena
-            if arena is None:
-                return None
-            return arena.witness(process)
-        buffers = self._buffers.get(process.pid)
-        if buffers is None or buffers.fusion_probs is None:
-            return None
-        return (
-            buffers.fusion_probs,
-            buffers.fusion_epoch,
-            buffers.fusion_protect_epoch,
-        )
+                k = max(1, math.ceil(remaining / cap))
+                if k < n:
+                    if k <= 1:
+                        return 1, "target"
+                    n, bound = k, "target"
+        return int(n), bound
 
     def _min_access_cost_ns(self, write_fraction: float) -> float:
         """Cheapest possible mean access latency: best tier, uncontended.

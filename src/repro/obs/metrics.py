@@ -246,6 +246,49 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "repro.harness.engine",
               "fused-window length per fused step, in quanta.",
               edges=_FUSION_EDGES_QUANTA),
+        _spec("engine.fusion_limited_run_end", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by the run's end: "
+              "fewer than two whole quanta left, or a trailing "
+              "partial quantum."),
+        _spec("engine.fusion_limited_event", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by the kernel's next "
+              "hard timer event."),
+        _spec("engine.fusion_limited_observer", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by the engine "
+              "observer's next firing."),
+        _spec("engine.fusion_limited_max_quanta", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by the policy's "
+              "max_fusion_quanta cap."),
+        _spec("engine.fusion_limited_witness", "counter", "count",
+              "repro.harness.engine",
+              "engine steps held to one quantum by the steady-state "
+              "witness: a process's placement, protection or "
+              "distribution changed since its last quantum, or no "
+              "quantum of the fleet has run yet."),
+        _spec("engine.fusion_limited_debt", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by queued kernel "
+              "time: one quantum under less than a quantum of debt, "
+              "else the smallest debtor's whole stalled quanta."),
+        _spec("engine.fusion_limited_stability", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by a workload's "
+              "stability horizon: its next phase edge, or one "
+              "quantum for a workload that declares none."),
+        _spec("engine.fusion_limited_target", "counter", "count",
+              "repro.harness.engine",
+              "engine steps whose width was set by a process's "
+              "remaining access target at the cheapest possible "
+              "access cost."),
+        _spec("engine.fusion_limited_contention", "counter", "count",
+              "repro.harness.engine",
+              "engine steps held to one quantum by the contention "
+              "gate: the tier multipliers moved more than 1% since "
+              "the previous step."),
         _spec("arena.repriced_segments", "counter", "count",
               "repro.harness.arena",
               "segment prices recomputed by the arena step (dirty "
@@ -257,8 +300,8 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
         _spec("arena.fault_plan_rebuilds", "counter", "count",
               "repro.harness.arena",
               "rebuilds of the fault plan's slot tables from the live "
-              "slots: dead slots outnumbered live ones, or the chunk "
-              "table outgrew the fleet."),
+              "slots: dead dormant slots outnumbered live ones, or the "
+              "chunk table outgrew the fleet."),
         _spec("arena.fault_plan_resyncs", "counter", "count",
               "repro.harness.arena",
               "segments the fault plan re-read from prot_none: before "
@@ -266,11 +309,13 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "protection-log overflow."),
         _spec("arena.fault_plan_appended", "counter", "pages",
               "repro.harness.arena",
-              "fault-plan slots appended for newly protected pages."),
+              "fault-plan slots appended for newly protected pages "
+              "with positive access probability."),
         _spec("arena.fault_plan_tombstoned", "counter", "pages",
               "repro.harness.arena",
-              "fault-plan slots tombstoned in place: pages the fault "
-              "resolve or another path unprotected."),
+              "fault-plan slots tombstoned in place: positive-rate "
+              "pages the fault resolve or another path unprotected, "
+              "or a distribution swap resynced."),
         _spec("workload.table_hits", "gauge", "count",
               "repro.workloads.base",
               "compiled-table cache hits accumulated process-wide at "

@@ -1,5 +1,5 @@
-"""The arena's test oracle: a per-segment step that recomputes
-everything every quantum.
+"""The arena's test oracles: a per-segment step that recomputes
+everything every quantum, and the per-process fusion-horizon loop.
 
 ``step_reference(arena, start_ns, quantum_ns)`` executes one
 (macro-)quantum of a :class:`repro.harness.arena.ProcessArena` the
@@ -14,13 +14,21 @@ every fleet.  Tests install it in place of the production step::
 
     monkeypatch.setattr(ProcessArena, "step", step_reference)
 
+``fusion_horizon_reference(engine, start_ns, end_ns, next_observe_ns,
+max_fuse)`` computes the fusion width with one loop over every live
+process -- witness, debt, stability, distribution identity and access
+target in turn -- where the engine answers the witness and debt bounds
+with vector compares over the arena and checks only dynamic and target
+rows.  The two widths must be equal at every step.
+
 This module is not collected by pytest (its name does not match
 ``test_*.py``); it is imported by the tests that use it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+import math
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -139,9 +147,88 @@ def step_reference(arena, start_ns: int, quantum_ns: int) -> np.ndarray:
     if engine.fusion:
         for row in rows:
             i, proc, workload, pages = row
-            arena.witness_probs[i] = refs[i]
-            arena.witness_epoch[i] = pages.epoch
-            arena.witness_protect_epoch[i] = pages.protect_epoch
+            arena.witness_epochs[0, i] = pages.epoch
+            arena.witness_epochs[1, i] = pages.protect_epoch
     if retired:
         arena._retire_rows()
     return arena._demand_out
+
+
+def fusion_horizon_reference(
+    engine,
+    start_ns: int,
+    end_ns: int,
+    next_observe_ns: Optional[int],
+    max_fuse: Optional[int],
+) -> int:
+    """The fusion width, checked process by process (``>= 1``).
+
+    In arena mode a process's witness is its segment's epoch columns
+    and distribution reference, and its access count includes the
+    arena's unflushed accesses; otherwise both come from the engine's
+    per-process buffers and ``stats``.
+    """
+    q = engine.quantum_ns
+    n = (end_ns - start_ns) // q
+    if n <= 1:
+        return 1
+    for at in (engine.kernel.next_event_ns(), next_observe_ns):
+        if at is not None:
+            if at <= start_ns:
+                return 1
+            n = min(n, -(-(at - start_ns) // q))
+    if max_fuse is not None:
+        n = min(n, int(max_fuse))
+    if n <= 1:
+        return 1
+    arena = engine._arena
+    processes = engine.kernel.processes
+    if engine.arena and (arena is None or arena.processes != processes):
+        return 1
+    for index, process in enumerate(processes):
+        if process.finished:
+            continue
+        if engine.arena:
+            probs = arena.probs_refs[index]
+            epoch, protect_epoch = arena.witness_epochs[:, index]
+            unflushed = arena._acc_n[index]
+        else:
+            buffers = engine._buffers.get(process.pid)
+            if buffers is None or buffers.fusion_probs is None:
+                return 1
+            probs = buffers.fusion_probs
+            epoch = buffers.fusion_epoch
+            protect_epoch = buffers.fusion_protect_epoch
+            unflushed = 0.0
+        pages = process.pages
+        if epoch != pages.epoch or protect_epoch != pages.protect_epoch:
+            return 1
+        debt = process.pending_kernel_ns
+        if debt > 0.0:
+            stall_quanta = int(debt // q)
+            if stall_quanta < 1:
+                return 1
+            n = min(n, stall_quanta)
+        workload = process.workload
+        stable_fn = getattr(workload, "stable_until_ns", None)
+        stable = start_ns if stable_fn is None else stable_fn(start_ns)
+        if stable is not None:
+            if stable <= start_ns:
+                return 1
+            n = min(n, -(-(stable - start_ns) // q))
+        workload.advance(start_ns)
+        if workload.access_distribution() is not probs:
+            return 1
+        if process.target_accesses is not None:
+            remaining = process.target_accesses - (
+                process.stats.accesses + unflushed
+            )
+            if remaining > 0:
+                cap = q / (
+                    engine._min_access_cost_ns(workload.write_fraction)
+                    + workload.delay_ns_per_access
+                )
+                n = min(n, max(1, math.ceil(remaining / cap)))
+        if n <= 1:
+            return 1
+    return int(n)

@@ -7,11 +7,13 @@ Three contracts:
 1. the law: a protected page is touched in a quantum with probability
    ``1 - exp(-n_i p)``, independently -- through the active Bernoulli
    head and the chunked dormant Poisson tail alike, and still after
-   tombstones, log-driven appends and re-protection;
+   tombstones, log-driven appends, re-protection and a distribution
+   swap that gives a zero-rate page a rate;
 2. the invariant: after any interleaving of protect, protect_at,
    unprotect, fault resolves and distribution swaps, the plan's live
-   slots are exactly the union of every segment's ``prot_none``, each
-   page live once;
+   slots are exactly the protected pages with positive rate under
+   their segment's current distribution, each page live once --
+   zero-rate pages cannot fault and own no slot;
 3. the protection-change log is bounded, and the arena detaches it.
 """
 
@@ -45,14 +47,16 @@ def make_arena(sizes, seed=0):
     return ProcessArena(QuantumEngine(kernel))
 
 
-def protected_union(arena):
-    """Global indices of every protected page, ascending."""
-    return np.concatenate(
+def faultable_union(arena):
+    """Global indices of every protected page with positive rate under
+    its segment's current distribution, ascending."""
+    protected = np.concatenate(
         [
             np.flatnonzero(proc.pages.prot_none) + arena.seg_starts[i]
             for i, proc in enumerate(arena.processes)
         ]
     )
+    return protected[arena.concat_probs[protected] > 0.0]
 
 
 def assert_plan_matches(arena):
@@ -61,9 +65,11 @@ def assert_plan_matches(arena):
         [plan.a_page[: plan.a_n], plan.d_page[: plan.d_n]]
     )
     live = np.sort(pages[pages >= 0])
-    np.testing.assert_array_equal(live, protected_union(arena))
-    assert plan.live == live.size
+    np.testing.assert_array_equal(live, faultable_union(arena))
+    # Every live slot can fault: ``_resolve`` divides by its rate.
+    assert (arena.concat_probs[live] > 0.0).all()
     assert plan.a_live == np.count_nonzero(plan.a_page[: plan.a_n] >= 0)
+    assert plan.d_live == np.count_nonzero(plan.d_page[: plan.d_n] >= 0)
     # The page -> slot map names exactly the live slots.
     slots = plan.slot_of[live]
     active = slots > 0
@@ -74,6 +80,46 @@ def assert_plan_matches(arena):
         plan.d_page[-slots[~active] - 1], live[~active]
     )
     assert np.count_nonzero(plan.slot_of) == live.size
+
+
+def churn_draws(arena, n_vec, draws, seed=7):
+    """``draws`` plan draws at ``n_vec``, re-protecting every touched
+    page after each (log-driven appends) and unprotecting a few at
+    random (log-driven tombstones: they sit out the next draw); returns
+    per-segment touch and exposure counts per page."""
+    plan = arena.plan
+    procs = arena.processes
+    rng = np.random.default_rng(seed)
+    touches = [np.zeros(p.n_pages) for p in procs]
+    exposures = [np.zeros(p.n_pages) for p in procs]
+    faults = np.zeros(len(procs))
+    for t in range(draws):
+        exposed = [p.pages.prot_none.copy() for p in procs]
+        faults.fill(0.0)
+        plan.draw(n_vec, faults, t * 1_000, 1_000)
+        for i, proc in enumerate(procs):
+            pages = proc.pages
+            touched = exposed[i] & ~pages.prot_none
+            touches[i] += touched
+            exposures[i] += exposed[i]
+            assert faults[i] == np.count_nonzero(touched)
+            pages.protect(np.flatnonzero(~pages.prot_none), t)
+            pages.unprotect(
+                np.flatnonzero(rng.random(proc.n_pages) < 0.05)
+            )
+    return touches, exposures
+
+
+def assert_touch_law(probs, n, touches, exposures):
+    """Touch counts match ``1 - exp(-n p)`` per exposure: per page, a
+    binomial bound at 5 sigma; per segment, the summed deviation
+    catches a small systematic bias."""
+    expect = -np.expm1(-n * probs)
+    mean = exposures * expect
+    sd = np.sqrt(exposures * expect * (1.0 - expect))
+    z = (touches - mean) / sd
+    assert np.abs(z).max() < 5.0, np.abs(z).max()
+    assert abs(z.sum()) / np.sqrt(z.size) < 4.0, z.sum()
 
 
 class TestTouchLaw:
@@ -88,44 +134,19 @@ class TestTouchLaw:
         arena = make_arena(self.SIZES)
         plan = arena.plan
         procs = arena.processes
-        rng = np.random.default_rng(7)
         for proc in procs:
             proc.pages.protect(np.arange(proc.n_pages), 0)
-        touches = [np.zeros(p.n_pages) for p in procs]
-        exposures = [np.zeros(p.n_pages) for p in procs]
-        faults = np.zeros(len(procs))
-        pools_seen = [False, False]
-        for t in range(self.DRAWS):
-            exposed = [p.pages.prot_none.copy() for p in procs]
-            faults.fill(0.0)
-            plan.draw(self.N_VEC, faults, t * 1_000, 1_000)
-            pools_seen[0] |= plan.a_n > 0
-            pools_seen[1] |= plan.c_n > 0
-            for i, proc in enumerate(procs):
-                pages = proc.pages
-                touched = exposed[i] & ~pages.prot_none
-                touches[i] += touched
-                exposures[i] += exposed[i]
-                assert faults[i] == np.count_nonzero(touched)
-                # Re-protect every unprotected page (log-driven
-                # appends), then unprotect a few at random (log-driven
-                # tombstones): they sit out the next draw.
-                pages.protect(np.flatnonzero(~pages.prot_none), t)
-                pages.unprotect(
-                    np.flatnonzero(rng.random(proc.n_pages) < 0.05)
-                )
-        assert all(pools_seen)
+        plan.refresh(self.N_VEC)
+        assert plan.a_n > 0 and plan.c_n > 0  # both pools in play
+        touches, exposures = churn_draws(arena, self.N_VEC, self.DRAWS)
         assert plan.tombstoned > 0 and plan.appended > 0
         for i, proc in enumerate(procs):
-            probs = proc.workload.access_distribution()
-            expect = -np.expm1(-self.N_VEC[i] * probs)
-            mean = exposures[i] * expect
-            sd = np.sqrt(exposures[i] * expect * (1.0 - expect))
-            z = (touches[i] - mean) / sd
-            # Per page: a binomial bound at 5 sigma; per segment: the
-            # summed deviation catches a small systematic bias.
-            assert np.abs(z).max() < 5.0, (i, np.abs(z).max())
-            assert abs(z.sum()) / np.sqrt(z.size) < 4.0, (i, z.sum())
+            assert_touch_law(
+                proc.workload.access_distribution(),
+                self.N_VEC[i],
+                touches[i],
+                exposures[i],
+            )
 
     def test_idle_segment_never_faults(self):
         """A segment pricing to zero accesses holds slots but draws
@@ -185,7 +206,7 @@ class TestPlanInvariant:
                 pages.unprotect(vpns)
             elif kind == "swap":
                 probs = rng.random(pages.n_pages)
-                probs[vpns] = 0.0  # zero-rate pages stay plan members
+                probs[vpns] = 0.0  # zero-rate pages leave the plan
                 if not probs.any():
                     probs[0] = 1.0
                 probs /= probs.sum()
@@ -199,6 +220,35 @@ class TestPlanInvariant:
             assert pages.n_protected == int(pages.prot_none.sum())
         plan.refresh(n_vec)
         assert_plan_matches(arena)
+
+
+class TestZeroRatePages:
+    def test_zero_rate_page_owns_no_slot_until_a_swap_gives_it_rate(self):
+        """A protected page that cannot fault owns no slot; once a
+        distribution swap gives it a rate, the next refresh appends it
+        and it is drawn at the law."""
+        arena = make_arena((48, 64))
+        plan = arena.plan
+        proc = arena.processes[1]
+        lo = int(arena.seg_starts[1])
+        probs = proc.workload.access_distribution().copy()
+        probs[:16] = 0.0
+        probs /= probs.sum()
+        arena._swap_probs(1, probs, proc.workload)
+        for each in arena.processes:
+            each.pages.protect(np.arange(each.n_pages), 0)
+        n_vec = np.array([30.0, 40.0])
+        plan.draw(n_vec, np.zeros(2), 0, 1_000)
+        assert proc.pages.prot_none[:16].all()
+        assert not plan.slot_of[lo : lo + 16].any()
+        assert_plan_matches(arena)
+        uniform = np.full(64, 1.0 / 64)
+        arena._swap_probs(1, uniform, proc.workload)
+        plan.refresh(n_vec)
+        assert plan.slot_of[lo : lo + 16].all()
+        assert_plan_matches(arena)
+        touches, exposures = churn_draws(arena, n_vec, 2_000)
+        assert_touch_law(uniform, n_vec[1], touches[1], exposures[1])
 
 
 class TestProtectLog:
@@ -258,21 +308,40 @@ class TestPlanCounters:
             >= result.stats["hint_faults"]
         )
 
-    def test_rebuild_compacts_dead_slots(self):
-        """Once dead slots outnumber live ones the next refresh rebuilds
-        the tables from the live slots alone."""
+    def test_active_tombstones_compact_without_a_rebuild(self):
+        """A fault burst that kills most of the active table compacts
+        it on the next refresh; it never rebuilds the tables."""
         arena = make_arena((64, 64))
         plan = arena.plan
         for proc in arena.processes:
             proc.pages.protect(np.arange(proc.n_pages), 0)
-        n_vec = np.array([200.0, 200.0])
+        n_vec = np.array([400.0, 400.0])
         plan.draw(n_vec, np.zeros(2), 0, 1_000)
+        assert plan.d_n == 0
+        assert plan.a_n > 2 * plan.a_live
+        plan.refresh(n_vec)
         assert plan.rebuilds == 0
-        assert plan.dead > plan.live
+        assert plan.a_n == plan.a_live
+        assert_plan_matches(arena)
+
+    def test_dead_dormant_slots_rebuild(self):
+        """Once dead dormant slots outnumber live ones the next refresh
+        rebuilds the tables from the live slots alone."""
+        arena = make_arena((48, 1_200))
+        plan = arena.plan
+        for proc in arena.processes:
+            proc.pages.protect(np.arange(proc.n_pages), 0)
+        n_vec = np.array([30.0, 40.0])
+        plan.refresh(n_vec)
+        cold = plan.d_live
+        assert cold > 0
+        # Unprotect well over half of the cold tail: log-driven
+        # tombstones in the dormant table.
+        arena.processes[1].pages.unprotect(np.arange(120, 800))
         plan.refresh(n_vec)
         assert plan.rebuilds == 1
-        assert plan.dead == 0
-        assert plan.a_n + plan.d_n == plan.live
+        assert plan.d_n == plan.d_live < cold / 2
+        assert plan.a_n == plan.a_live
         assert_plan_matches(arena)
 
     def test_single_process_arena_has_no_plan(self):
