@@ -22,18 +22,19 @@ steady-state stretch; see ``docs/SIMULATION.md``) against per-quantum
 stepping (``fusion=False``) on a steady-state Memtis/pmbench config,
 reporting quanta/sec both ways, the fusion ratio, and the speedup.
 
-The arena section times cross-process arena stepping (one batched
-array program per quantum; see ``docs/SIMULATION.md``) against the
-per-process fast path (``arena=False``) on a stepping-bound fleet
-config: 96 small processes at a fine 5 ms quantum (a 250 Hz kernel
-tick) with the kernel daemons *live* at the testbed's realistic
-periods (5 s Ticking scan, 1 s aging), fusion off in both modes.
-The arena is never quiesced: scan, aging, migration, and reclaim
-windows all run through the batched fleet passes, so the measured
-gap is per-quantum stepping cost under real transient load.  The
-speedup must clear ``ARENA_SPEEDUP_FLOOR``, and the arena must agree
-with the per-process path within ``ARENA_THROUGHPUT_TOLERANCE`` on
-throughput and ``ARENA_FMAR_TOLERANCE`` on FMAR (the fidelity gate).
+The arena section times the default engine (arena stepping: one
+batched array program per quantum; see ``docs/SIMULATION.md``)
+against the reference engine (``fast_path=False``) on a
+stepping-bound fleet config: 96 small processes at a fine 5 ms
+quantum (a 250 Hz kernel tick) with the kernel daemons *live* at the
+testbed's realistic periods (5 s Ticking scan, 1 s aging), fusion off
+in both runs.  The arena is never quiesced: scan, aging, migration,
+and reclaim windows all run through the batched fleet passes, so the
+measured gap is per-quantum stepping cost under real transient load.
+The speedup must clear ``ARENA_SPEEDUP_FLOOR``, and the arena must
+agree with the reference engine within ``ARENA_THROUGHPUT_TOLERANCE``
+on throughput and ``ARENA_FMAR_TOLERANCE`` on FMAR (the fidelity
+gate).
 
 The trace section covers the trace pipeline end to end.  Compile: a
 two-million-event synthetic stream with three known phases runs
@@ -86,10 +87,10 @@ jobs=2 drops below ``SWEEP_GATE_FRACTION`` of the committed ladder's
 matching rung, when fused steady-state quanta/sec drops below
 ``FUSION_GATE_FRACTION`` of the committed fusion section, when the
 fused-vs-unfused speedup falls below ``FUSION_SPEEDUP_FLOOR``, or
-when the arena-vs-per-process speedup falls below
+when the arena-vs-reference speedup falls below
 ``ARENA_SPEEDUP_FLOOR`` (or arena quanta/sec below
 ``ARENA_GATE_FRACTION`` of the committed arena section), or when the
-arena's throughput or FMAR strays from the per-process path's by more
+arena's throughput or FMAR strays from the reference engine's by more
 than the fidelity tolerances.
 CI-compatible: pure stdlib + the package itself, runs in about a
 minute at the default scale.
@@ -169,10 +170,10 @@ FUSION_PAGES = 2_048
 #: stepping-bound fleet config for the arena section: many small
 #: processes at a fine 5 ms quantum (a 250 Hz kernel tick), kernel
 #: daemons *live* at the testbed's realistic periods (5 s Ticking
-#: scan, 1 s aging), fusion off in both modes.  The arena is never
+#: scan, 1 s aging), fusion off in both runs.  The arena is never
 #: quiesced -- scan, aging, migration, and reclaim windows all run
-#: through the batched fleet passes -- so the arena-vs-per-process
-#: gap is per-quantum stepping cost under real transient load.
+#: through the batched fleet passes -- so the arena-vs-reference gap
+#: is per-quantum stepping cost under real transient load.
 ARENA_POLICY = "linux-nb"
 ARENA_PROCS = 96
 ARENA_PAGES = 256
@@ -183,21 +184,26 @@ ARENA_AGING_PERIOD_NS = SECOND
 ARENA_QUANTUM_NS = 5 * MILLISECOND
 ARENA_DURATION_NS = 10 * SECOND
 
-#: --quick floor on the arena-vs-per-process speedup: one batched
-#: array program per quantum must beat the per-process loop by at
-#: least this much at fleet scale, with the daemons live.
-ARENA_SPEEDUP_FLOOR = 2.0
+#: --quick floor on the arena-vs-reference speedup: one batched array
+#: program per quantum must beat the reference engine's per-process,
+#: recompute-everything quanta by at least this much at fleet scale,
+#: with the daemons live.  About 55% of the median of eight
+#: ``--quick`` runs on a 2-CPU host (11.0x; 7.5-15.1x).
+ARENA_SPEEDUP_FLOOR = 6.0
 
 #: --quick arena-throughput floor, as a fraction of the committed
 #: arena section's quanta/sec (host-speed jitter allowance).
 ARENA_GATE_FRACTION = 0.5
 
 #: arena fidelity gate: the arena's throughput and FMAR must stay
-#: within these relative errors of the per-process path's on the
-#: arena config.  About twice the largest same-seed gap measured over
-#: seeds 0-5 (5.7% on throughput, 2.2% on FMAR).
-ARENA_THROUGHPUT_TOLERANCE = 0.10
-ARENA_FMAR_TOLERANCE = 0.05
+#: within these relative errors of the reference engine's on the arena
+#: config (both at seed 0).  They are the reference engine's own spread
+#: over seeds 0-5, (max - min) / mean: 5.9% on throughput and 2.2% on
+#: FMAR.  The arena's largest same-seed gap over those seeds is 3.8%
+#: (throughput, seed 2) and 1.5% (FMAR, seed 4); at seed 0 it is 0.02%
+#: and 0.05%.
+ARENA_THROUGHPUT_TOLERANCE = 0.059
+ARENA_FMAR_TOLERANCE = 0.022
 
 #: trace-compiler throughput config: a known-phase synthetic event
 #: stream (three rotating Zipf hotspots, one pid) pushed through the
@@ -678,45 +684,53 @@ def arena_setup(duration_ns) -> StandardSetup:
     )
 
 
+def _arena_run(duration_ns, fast_path):
+    """One run of the arena config: ``(wall seconds, RunResult)``."""
+    setup = arena_setup(duration_ns)
+    policy = setup.build_policy(ARENA_POLICY)
+    processes = build_fleet(
+        setup, "pmbench",
+        n_procs=ARENA_PROCS, pages_per_proc=ARENA_PAGES,
+    )
+    start = time.perf_counter()
+    result = run_experiment(
+        processes, policy, setup.run_config(fusion=False),
+        fast_path=fast_path,
+    )
+    return time.perf_counter() - start, result
+
+
 def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
-    """Arena vs per-process stepping on the stepping-bound fleet config.
+    """The default engine vs the reference engine on the
+    stepping-bound fleet config.
 
     Both runs share (policy, workload, seed) and run with fusion off;
-    they differ only in the engine's ``arena`` switch, so the
-    quanta/sec gap is the cost of looping the per-process fast path
-    over ``ARENA_PROCS`` processes versus one batched array program
-    over the concatenated arena.  Deterministic per mode, so
-    ``best_of`` keeps each mode's fastest pass (least-noise estimate
-    on a loaded runner).
+    they differ only in ``fast_path``, so the quanta/sec gap is the
+    cost of the reference engine's per-process, recompute-everything
+    quantum versus one batched array program over the arena.  Each
+    engine is deterministic, so ``best_of`` keeps the arena's fastest
+    pass (least-noise estimate on a loaded runner); the reference
+    engine runs once -- its run is about ten times longer, so a
+    scheduler hiccup weighs far less on it.
     """
     runs = {}
-    for arena in (True, False):
-        best = None
-        for _ in range(max(1, best_of)):
-            setup = arena_setup(duration_ns)
-            policy = setup.build_policy(ARENA_POLICY)
-            processes = build_fleet(
-                setup, "pmbench",
-                n_procs=ARENA_PROCS, pages_per_proc=ARENA_PAGES,
-            )
-            start = time.perf_counter()
-            result = run_experiment(
-                processes, policy,
-                setup.run_config(arena=arena, fusion=False),
-            )
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, result)
-        wall, result = best
+    for key, fast_path, repeats in (
+        ("arena", True, max(1, best_of)),
+        ("reference", False, 1),
+    ):
+        wall, result = min(
+            (_arena_run(duration_ns, fast_path) for _ in range(repeats)),
+            key=lambda run: run[0],
+        )
         quanta = result.engine.quanta_run
-        runs["arena" if arena else "per_process"] = {
+        runs[key] = {
             "wall_sec": wall,
             "quanta": quanta,
             "quanta_per_sec": quanta / wall if wall else 0.0,
             "throughput_per_sec": result.throughput_per_sec,
             "fmar": result.fmar,
         }
-    reference_qps = runs["per_process"]["quanta_per_sec"]
+    reference_qps = runs["reference"]["quanta_per_sec"]
     return {
         "config": {
             "policy": ARENA_POLICY,
@@ -732,14 +746,14 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
             "fusion": False,
         },
         "arena": runs["arena"],
-        "per_process": runs["per_process"],
+        "reference": runs["reference"],
         "equivalence": {
             "throughput_rel_err": rel_err(
                 runs["arena"]["throughput_per_sec"],
-                runs["per_process"]["throughput_per_sec"],
+                runs["reference"]["throughput_per_sec"],
             ),
             "fmar_rel_err": rel_err(
-                runs["arena"]["fmar"], runs["per_process"]["fmar"]
+                runs["arena"]["fmar"], runs["reference"]["fmar"]
             ),
         },
         "speedup": (
@@ -751,18 +765,18 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
 
 def print_arena(section):
     arena = section["arena"]
-    per_process = section["per_process"]
+    reference = section["reference"]
     print(
         f"  arena ({ARENA_POLICY}, pmbench x{ARENA_PROCS}, "
         "daemons live): "
         f"arena {arena['quanta_per_sec']:8.1f} q/s, "
-        f"per-process {per_process['quanta_per_sec']:8.1f} q/s, "
+        f"reference {reference['quanta_per_sec']:8.1f} q/s, "
         f"speedup {section['speedup']:.2f}x"
     )
 
 
 def arena_fidelity_ok(section) -> bool:
-    """The arena fidelity gate: arena-vs-per-process relative errors
+    """The arena fidelity gate: arena-vs-reference relative errors
     within ``ARENA_THROUGHPUT_TOLERANCE`` / ``ARENA_FMAR_TOLERANCE``
     (prints the failure)."""
     equiv = section["equivalence"]
@@ -774,9 +788,9 @@ def arena_fidelity_ok(section) -> bool:
         print(
             "  FAIL: arena fidelity: throughput rel err "
             f"{equiv['throughput_rel_err']:.3f} (max "
-            f"{ARENA_THROUGHPUT_TOLERANCE:.2f}), FMAR rel err "
+            f"{ARENA_THROUGHPUT_TOLERANCE:.3f}), FMAR rel err "
             f"{equiv['fmar_rel_err']:.3f} (max "
-            f"{ARENA_FMAR_TOLERANCE:.2f}) against the per-process path"
+            f"{ARENA_FMAR_TOLERANCE:.3f}) against the reference engine"
         )
     return ok
 
@@ -785,9 +799,9 @@ def run_quick_arena_gate(baseline):
     """Arena stepping speedup, fidelity and throughput vs the committed
     arena section.
 
-    Three checks: the arena-vs-per-process speedup must clear
+    Three checks: the arena-vs-reference speedup must clear
     ``ARENA_SPEEDUP_FLOOR`` (batched stepping pays for itself at fleet
-    scale), the arena must agree with the per-process path within the
+    scale), the arena must agree with the reference engine within the
     fidelity tolerances (:func:`arena_fidelity_ok`), and arena
     quanta/sec must stay above ``ARENA_GATE_FRACTION`` of the committed
     arena section.  A missing or pre-arena baseline skips the
@@ -801,7 +815,8 @@ def run_quick_arena_gate(baseline):
         pass
     print(
         f"  arena gate: {ARENA_POLICY}, pmbench x{ARENA_PROCS}, "
-        f"{ARENA_DURATION_NS / SECOND:.0f}s simulated, best of 3"
+        f"{ARENA_DURATION_NS / SECOND:.0f}s simulated, arena best of 3 "
+        "against one reference run"
     )
     section = time_arena(best_of=3)
     print_arena(section)
@@ -997,7 +1012,7 @@ def _traffic_run(duration_ns):
     that wall clock picks up on shared runners.
     """
     setup = traffic_setup(duration_ns)
-    config = setup.run_config(arena=True, fusion=False)
+    config = setup.run_config(fusion=False)
     policy = setup.build_policy(TRAFFIC_POLICY)
     processes = build_fleet(
         setup, "traffic",
@@ -1016,7 +1031,7 @@ def _traffic_run(duration_ns):
     kernel.allocate_initial_placement()
     kernel.set_policy(policy)
     engine = QuantumEngine(
-        kernel, quantum_ns=config.quantum_ns, fusion=False, arena=True
+        kernel, quantum_ns=config.quantum_ns, fusion=False
     )
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
@@ -1598,6 +1613,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
+        # argparse %-formats help text: escape the rendered percents.
         help=(
             "CI regression gate: time only the optimized path and fail "
             "when quanta/sec drops below "
@@ -1607,16 +1623,16 @@ def main(argv=None) -> int:
             "fused quanta/sec drops below "
             f"{FUSION_GATE_FRACTION:.0%} of the committed fusion "
             "section, the fused-vs-per-quantum speedup falls below "
-            f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-per-process "
+            f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-reference "
             f"speedup falls below {ARENA_SPEEDUP_FLOOR:.1f}x, the "
-            "arena strays from the per-process path by more than "
-            f"{ARENA_THROUGHPUT_TOLERANCE:.0%} on throughput or "
-            f"{ARENA_FMAR_TOLERANCE:.0%} on FMAR, trace compile "
+            "arena strays from the reference engine by more than "
+            f"{ARENA_THROUGHPUT_TOLERANCE:.1%} on throughput or "
+            f"{ARENA_FMAR_TOLERANCE:.1%} on FMAR, trace compile "
             "throughput falls below "
             f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M events/cpu-sec, or the "
             "replayed trace's fusion ratio falls below "
             f"{TRACE_FUSION_RATIO_FLOOR:.0%}"
-        ),
+        ).replace("%", "%%"),
     )
     parser.add_argument(
         "--baseline", default=None,

@@ -30,6 +30,10 @@ Nine subcommands:
   Table 1 characteristics.
 * ``chrono-sim defaults`` -- Chrono's Table 2 parameter defaults.
 
+Every simulation steps through the engine's arena
+(:mod:`repro.harness.arena`); ``--no-fusion`` keeps it at one step per
+quantum for equivalence checks.
+
 The event schema and metric catalogue behind ``--trace``/``--metrics``
 are documented in ``docs/OBSERVABILITY.md``.
 """
@@ -216,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable event-horizon quantum fusion in every cell",
     )
     tour_p.add_argument(
-        "--no-arena", action="store_true",
-        help="disable cross-process arena stepping in every cell",
-    )
-    tour_p.add_argument(
         "--out", metavar="FILE", default="tournament.json",
         help="leaderboard JSON artifact path (default: "
         "tournament.json)",
@@ -281,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument(
         "--no-fusion", action="store_true",
         help="disable event-horizon quantum fusion",
-    )
-    replay_p.add_argument(
-        "--no-arena", action="store_true",
-        help="disable cross-process arena stepping",
     )
     replay_p.add_argument(
         "--json", action="store_true",
@@ -384,13 +380,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
             "reference stepping; slower, for equivalence checking)"
         ),
     )
-    parser.add_argument(
-        "--no-arena", action="store_true",
-        help=(
-            "disable cross-process arena stepping (per-process "
-            "fast-path stepping; slower, for equivalence checking)"
-        ),
-    )
 
 
 def _jobs_arg(value: str) -> int:
@@ -449,8 +438,6 @@ def _config_overrides(args) -> dict:
     overrides = {}
     if args.no_fusion:
         overrides["fusion"] = False
-    if args.no_arena:
-        overrides["arena"] = False
     return overrides
 
 

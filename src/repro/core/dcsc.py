@@ -28,9 +28,20 @@ import numpy as np
 
 from repro.core.cit import CIT_BUCKETS, bucket_upper_bound_ns, cit_bucket
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.sim.jit import dcsc_fold
 from repro.sim.timeunits import SECOND
 from repro.vm.process import SimProcess
+
+
+def dcsc_fold(
+    tiers: np.ndarray, buckets: np.ndarray, n_tiers: int, n_buckets: int
+) -> np.ndarray:
+    """Count ``(tier, bucket)`` CIT samples into a dense float64
+    ``(n_tiers, n_buckets)`` table: one fused ``bincount`` over
+    ``tier * n_buckets + bucket`` keys instead of one ``np.add.at``
+    scatter per tier."""
+    keys = tiers.astype(np.int64) * n_buckets + buckets
+    counts = np.bincount(keys, minlength=n_tiers * n_buckets)
+    return counts.astype(np.float64).reshape(n_tiers, n_buckets)
 
 
 @dataclass

@@ -1,12 +1,11 @@
-"""Cross-process arena stepping: one batched array program per quantum.
+"""Arena stepping: one batched array program per quantum.
 
-The per-process fast path executes ``run_quantum`` once per process per
-(macro-)quantum -- at fleet sizes the numpy dispatch and Python
-bookkeeping of those per-process calls dominate the step.  The arena
-concatenates every process's page-level state into one global address
-space partitioned into *segments* (one per process, in
-``kernel.processes`` order) and executes each quantum as a single
-segment-wise array program:
+Every default run (``QuantumEngine(fast_path=True)``), one process or a
+fleet, steps through a :class:`ProcessArena`.  The arena concatenates
+every process's page-level state into one global address space
+partitioned into *segments* (one per process, in ``kernel.processes``
+order) and executes each quantum as a single segment-wise array
+program, so a step costs no per-process numpy dispatch:
 
 ::
 
@@ -35,11 +34,10 @@ One quantum (:meth:`ProcessArena.step`) is then:
    them),
 2. *dirty-row pricing*: ``mean_lat = sum_t mass[:, t] * (rf *
    read_lat[t] + wf * write_lat[t])`` refolds through
-   :func:`repro.sim.jit.price_fold` only for rows whose mass, profile
-   scalars or tier latencies changed since their last fold (a per-row
-   dirty bit rides every mass update), then ``n = max(budget, 0) /
-   (mean_lat + delay)`` over all segments at once -- the scalar
-   operations the per-process path performs, evaluated element-wise,
+   :func:`price_fold` only for rows whose mass, profile scalars or tier
+   latencies changed since their last fold (a per-row dirty bit rides
+   every mass update), then ``n = max(budget, 0) / (mean_lat + delay)``
+   over all segments at once,
 3. one *aggregate fault draw* from the arena's :class:`FaultPlan`,
    which holds a slot for every protected page that can fault
    (positive access probability): active (hot) slots of every segment
@@ -51,13 +49,14 @@ One quantum (:meth:`ProcessArena.step`) is then:
    protection-change logs feed appends and tombstones for the segments
    whose protect-epoch witness moved.  All touched pages get their
    fault offsets in one pass; each faulting process still gets one
-   ``FaultBatch`` through ``Kernel.deliver_faults``, in segment order.
-   Single-process arenas have no plan and keep the per-process sampler
-   with the process's own stream,
+   ``FaultBatch`` through ``Kernel.deliver_faults``, in segment order,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
-   the counters (``PageState.set_ledger_source``),
+   the counters (``PageState.set_ledger_source``), and per-process
+   stats accumulate in four vectors that fold into each
+   ``SimProcess.stats`` when they become visible
+   (:meth:`ProcessArena.flush_stats`),
 5. one *latency fold*: per-class counts accumulate into per-key
    vectors over segments (keyed by the engine's per-quantum latency
    keys) and scatter into per-process mixtures once per run,
@@ -74,13 +73,11 @@ Equivalence contract (``docs/SIMULATION.md`` section 7): the step
 executes the same IEEE-754 operations and consumes the same RNG stream
 as the straightforward per-segment step that recomputes everything
 every quantum (the test oracle in ``tests/arena_oracle.py``), so the two
-are bit-identical on every fleet.  A single-process arena executes the
-same operations in the same order as the per-process fast path, so its
-trajectory is bit-identical to it; multi-process arenas draw touches
-and fault times from the fault plan's one stream (the ``engine.arena``
-RNG) instead of per-process streams, so they match the per-process mode
-statistically (same laws), not bit for bit.  ``arena=False`` keeps the
-per-process path as the reference mode for equivalence gating.
+are bit-identical on every fleet, one segment included.  The arena
+draws touches and fault times from the fault plan's one stream (the
+``engine.arena`` RNG) where the reference engine (``fast_path=False``)
+draws from per-process streams, so the two agree statistically (same
+laws), not bit for bit.
 """
 
 from __future__ import annotations
@@ -93,9 +90,45 @@ from repro.analysis.latency import LatencyMixture
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
-from repro.sim.jit import price_fold
 from repro.vm.fault import FaultBatch, first_access_offsets
 from repro.workloads.base import Workload
+
+#: journal replays a tier-mass row takes before a full recount; bounds
+#: the float drift of repeated add/subtract
+MASS_RESYNC_MOVES: int = 256
+
+#: per-quantum touch probability from which a protected page gets an
+#: active fault-plan slot (its own Bernoulli draw) instead of a dormant
+#: one (the aggregate Poisson draw); the split only steers cost
+FAULT_DORMANT_MAX_TOUCH: float = 0.02
+
+
+def price_fold(
+    mass: np.ndarray,
+    rf: np.ndarray,
+    wf: np.ndarray,
+    read_lats: np.ndarray,
+    write_lats: np.ndarray,
+    idx: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Masked pricing fold: rewrite ``out[idx]`` with
+    ``sum_t mass[idx, t] * (rf[idx]*read[t] + wf[idx]*write[t])``.
+
+    Per element the operation sequence is exactly the full-arena fold's
+    (``rf*read``, ``wf*write``, add, multiply by mass, accumulate in
+    tier order), so a masked refold of an unchanged row reproduces the
+    cached value bit for bit.
+    """
+    sub_rf = rf[idx]
+    sub_wf = wf[idx]
+    acc = np.zeros(idx.shape[0], dtype=np.float64)
+    for tier_id in range(read_lats.shape[0]):
+        coef = sub_rf * read_lats[tier_id]
+        coef += sub_wf * write_lats[tier_id]
+        coef *= mass[idx, tier_id]
+        acc += coef
+    out[idx] = acc
 
 
 class ProcessArena:
@@ -110,8 +143,7 @@ class ProcessArena:
         self.processes: List[Any] = list(kernel.processes)
         self.n_segs = n_segs = len(self.processes)
         self.n_tiers = n_tiers = kernel.machine.n_tiers
-        #: aggregate stream for cross-segment fault draws; per-process
-        #: streams keep driving fault timestamps and single-segment draws
+        #: the fault plan's stream: every touch draw and fault offset
         self.rng = kernel.rng.get("engine.arena")
         sizes = np.array(
             [p.pages.n_pages for p in self.processes], dtype=np.int64
@@ -131,8 +163,7 @@ class ProcessArena:
         #: compares workloads' distributions against them by identity
         #: (the concatenated copy above can never serve identity checks)
         self.probs_refs: List[Optional[np.ndarray]] = [None] * n_segs
-        # Per-segment tier-mass rows, the cache the per-process path
-        # keeps in ``_ProcessBuffers``: keyed by (probs identity,
+        # Per-segment tier-mass rows: keyed by (probs identity,
         # placement epoch), journal-repaired, drift-bounded by a resync
         # countdown.  ``mass_epoch`` is compared against the witness
         # cells in one vector op per quantum.
@@ -188,17 +219,14 @@ class ProcessArena:
         ]
         #: the policy whose ``on_quantum`` binding was last resolved, and
         #: the bound hook (``None`` when the policy keeps the base-class
-        #: no-op -- the per-process call loop is skipped entirely)
+        #: no-op -- the per-row call loop is skipped entirely)
         self._policy_seen: Any = None
         self._policy_hook = None
         #: per-segment quantum-stat accumulators (accesses, fast
-        #: accesses, user ns, stall ns).  Multi-segment arenas fold these
-        #: with four vector adds per quantum and flush them into each
-        #: ``SimProcess.stats`` lazily (:meth:`flush_stats`) -- nothing
-        #: reads the per-process copies mid-run.  Single-segment arenas
-        #: keep the per-quantum ``record_accesses`` call so their stat
-        #: rounding stays bit-identical to the per-process path.
-        self._lazy_stats = n_segs > 1
+        #: accesses, user ns, stall ns), folded with four vector adds per
+        #: quantum and flushed into each ``SimProcess.stats`` lazily
+        #: (:meth:`flush_stats`) -- nothing reads the per-process copies
+        #: mid-run.
         self._acc_n = np.zeros(n_segs, dtype=np.float64)
         self._acc_fast = np.zeros(n_segs, dtype=np.float64)
         self._acc_user = np.zeros(n_segs, dtype=np.float64)
@@ -248,11 +276,8 @@ class ProcessArena:
             proc.set_debt_cell(self._debt_cells, i)
         self._build_masses()
         self._attach_ledger_sources()
-        #: the fleet-wide fault plan; single-segment arenas keep the
-        #: per-process sampler (bit-identical to the per-process path)
-        self.plan: Optional[FaultPlan] = (
-            FaultPlan(self) if n_segs > 1 else None
-        )
+        #: the fleet-wide fault plan (released by :meth:`detach`)
+        self.plan = FaultPlan(self)
         #: rows that still need the per-quantum ``advance`` /
         #: ``access_distribution`` calls and the fusion horizon's
         #: stability check: everything but stationary :class:`Workload`
@@ -281,7 +306,7 @@ class ProcessArena:
         segment's per-tier mass in one pass over the concatenated
         arrays; within a segment the additions run in vpn order, the
         same order a per-segment ``bincount`` uses, so the rows are
-        bit-identical to the per-process computation.
+        bit-identical to a per-segment recount (:meth:`_recount_mass`).
         """
         starts = self.seg_starts
         for i, proc in enumerate(self.processes):
@@ -292,7 +317,7 @@ class ProcessArena:
             self.concat_probs[lo:hi] = probs
             self.concat_tier[lo:hi] = proc.pages.tier
             self.mass_epoch[i] = proc.pages.epoch
-            self.mass_resync[i] = self.engine.MASS_RESYNC_MOVES
+            self.mass_resync[i] = MASS_RESYNC_MOVES
             self._wf[i] = workload.write_fraction
             self._delay[i] = workload.delay_ns_per_access
             if proc.finished:
@@ -349,14 +374,12 @@ class ProcessArena:
     def flush_stats(self) -> None:
         """Fold the lazily accumulated quantum stats into each process.
 
-        Multi-segment arenas defer ``record_accesses`` (see step phases
-        4-6); this folds the running totals in and rearms the
-        accumulators.  Called at teardown, segment retirement, and
-        before an engine observer fires -- every point where per-process
-        stats become externally visible.
+        The step defers ``record_accesses`` (phase 4); this folds the
+        running totals in and rearms the accumulators.  Called at
+        teardown, segment retirement, and before an engine observer
+        fires -- every point where per-process stats become externally
+        visible.
         """
-        if not self._lazy_stats:
-            return
         acc_n, acc_fast = self._acc_n, self._acc_fast
         acc_user, acc_stall = self._acc_user, self._acc_stall
         for i, proc in enumerate(self.processes):
@@ -379,8 +402,8 @@ class ProcessArena:
         """Move segment ``i``'s share of the open run into its pages.
 
         The accumulator restarts from zero afterwards, so the pending
-        entry the PageState ledger sees carries the exact partial-sum
-        sequence the per-process path would have produced.
+        entry the PageState ledger sees carries the exact partial sum
+        of the segment's quanta since its last drain.
         """
         amount = float(self.open_n[i])
         if amount != 0.0:
@@ -392,8 +415,7 @@ class ProcessArena:
             )
 
     # ------------------------------------------------------------------
-    # Tier-mass maintenance (the per-segment analogue of
-    # ``QuantumEngine._tier_mass``)
+    # Tier-mass maintenance
     # ------------------------------------------------------------------
     def _note_mass_update(self, i: int, epoch: int) -> None:
         """Record row ``i``'s new mass epoch; any mass change dirties
@@ -445,25 +467,26 @@ class ProcessArena:
         )
         self.concat_tier[lo:hi] = pages.tier
         self._note_mass_update(i, pages.epoch)
-        self.mass_resync[i] = self.engine.MASS_RESYNC_MOVES
+        self.mass_resync[i] = MASS_RESYNC_MOVES
 
     def _repair_mass_many(self, stale: List[Any]) -> None:
         """Repair several stale segments in one fused journal replay.
 
         ``stale`` holds ``(i, proc)`` pairs whose ``mass_epoch`` lags
-        their pages' epoch.  A single stale segment delegates to
-        :meth:`_repair_mass` (the bit-identical sequential path -- the
-        only shape single-process arenas can produce).  Otherwise each
-        replayable segment's journal entries fold through the
-        single-source fast path: a migration batch moves pages from one
-        tier, so the replay is two scalar mass updates per entry (probs
-        gathered once from the concatenated copy) instead of a weighted
-        ``bincount`` plus a gather per entry.  Mixed-source entries keep
-        the bincount.  The single-source subtraction rounds as
-        sum-then-subtract where the sequential replay subtracts
-        per-element -- inside the multi-process statistical contract.
-        Segments that cannot replay (distribution swap, truncated
-        journal, resync countdown) full-recount exactly as before.
+        their pages' epoch.  A single stale segment -- every repair of a
+        one-process arena, and any quantum of a fleet in which one row
+        moved -- takes :meth:`_repair_mass`, the per-entry ``bincount``
+        replay.  Otherwise each replayable segment's journal entries
+        fold through the single-source fast path: a migration batch
+        moves pages from one tier, so the replay is two scalar mass
+        updates per entry (probs gathered once from the concatenated
+        copy) instead of a weighted ``bincount`` plus a gather per
+        entry.  Mixed-source entries keep the bincount.  The
+        single-source subtraction rounds as sum-then-subtract where the
+        per-entry replay subtracts per-element, so the two paths can
+        differ in the last ulp; each is deterministic, and the oracle
+        takes the same one.  Segments that cannot replay (distribution
+        swap, truncated journal, resync countdown) full-recount.
         """
         if len(stale) == 1:
             i, proc = stale[0]
@@ -548,13 +571,12 @@ class ProcessArena:
         self._wf[i] = workload.write_fraction
         self._delay[i] = workload.delay_ns_per_access
         self._note_mass_update(i, -1)  # force recount
-        if self.plan is not None:
-            # The plan's slots carry the old distribution's rates.
-            self.plan.resync[i] = True
+        # The plan's slots carry the old distribution's rates.
+        self.plan.resync[i] = True
 
     def _resolve_policy_hook(self, policy: Any):
         """The policy's ``on_quantum`` binding, or ``None`` when it keeps
-        the base-class no-op (the per-process call loop is skipped)."""
+        the base-class no-op (the per-row call loop is skipped)."""
         if policy is not self._policy_seen:
             self._policy_seen = policy
             hook = getattr(type(policy), "on_quantum", None)
@@ -716,8 +738,7 @@ class ProcessArena:
             np.multiply(n_vec, delay, out=self._stall_prod)
             self._fold_latency(n_vec, faults, have_faults)
             # Demand fold: mass * ((n * CACHE_LINE) * ((1-wf) + wf *
-            # bwm)), the per-process operation order, then one segment
-            # sum.
+            # bwm)) per segment, then one segment sum.
             tmp = self._tmp
             weight = self._weight_rows
             np.multiply(wf[:, None], bwm[None, :], out=weight)
@@ -728,24 +749,14 @@ class ProcessArena:
             np.sum(self._demand_rows, axis=0, out=self._demand_out)
             np.copyto(self._bwm_cache, bwm)
             self._ss_valid = True
-        if self._lazy_stats:
-            # Four vector adds instead of one record_accesses call per
-            # process (one addition per quantum each, never
-            # reassociated); flush_stats folds the totals into each
-            # process's stats at retirement/observation/teardown.
-            self._acc_n += n_vec
-            self._acc_fast += self._fast_prod
-            self._acc_user += self._user_prod
-            self._acc_stall += self._stall_prod
-        else:
-            for row in self._rows:
-                i = row[0]
-                row[1].record_accesses(
-                    float(n_vec[i]),
-                    float(self._fast_prod[i]),
-                    float(self._user_prod[i]),
-                    float(self._stall_prod[i]),
-                )
+        # Four vector adds instead of one record_accesses call per
+        # process (one addition per quantum each, never reassociated);
+        # flush_stats folds the totals into each process's stats at
+        # retirement/observation/teardown.
+        self._acc_n += n_vec
+        self._acc_fast += self._fast_prod
+        self._acc_user += self._user_prod
+        self._acc_stall += self._stall_prod
         if profiler is not None:
             profiler.pop()
 
@@ -800,28 +811,15 @@ class ProcessArena:
         if profiler is not None:
             profiler.push("fault_partition")
         try:
-            if self.plan is not None:
-                self.plan.draw(n_vec, faults, start_ns, quantum_ns)
-            else:
-                # One segment: the per-process sampler with the process's
-                # own stream -- bit-identical to the per-process path.
-                proc = self.processes[0]
-                faults[0] = self.engine._sample_hint_faults(
-                    proc,
-                    proc.pages,
-                    self.probs_refs[0],
-                    self.engine._buffers_for(proc),
-                    float(n_vec[0]),
-                    start_ns,
-                    quantum_ns,
-                )
+            self.plan.draw(n_vec, faults, start_ns, quantum_ns)
         finally:
             if profiler is not None:
                 profiler.pop()
         # Fault-path promotions moved pages: repair the eligible rows so
-        # accounting prices the post-fault placement, the re-lookup the
-        # per-process path performs.  Repairing other rows here would
-        # change the later phases' inputs against the per-process path.
+        # accounting prices the post-fault placement, as the reference
+        # engine's post-fault recount does.  Rows that could not fault
+        # keep their gather-time mass for this quantum; a move made to
+        # them meanwhile is repaired by the next gather.
         stale = eligible[self.mass_epoch[eligible] != cells[0, eligible]]
         if stale.size:
             self._repair_mass_many(
@@ -839,8 +837,8 @@ class ProcessArena:
         recompute: bool = True,
     ) -> None:
         """Accumulate this quantum's latency classes into per-key
-        segment vectors (the per-process dict accumulations, evaluated
-        element-wise in the same order).
+        segment vectors (the reference engine's per-process dict
+        accumulations, evaluated element-wise in the same order).
 
         With ``recompute=False`` (the steady-state quantum cache) the
         ``reads`` / ``writes`` buffers still hold this quantum's counts
@@ -859,10 +857,10 @@ class ProcessArena:
         if recompute:
             tier_counts = self._tier_counts
             np.multiply(self.mass, n_vec[:, None], out=tier_counts)
-            # The per-process path skips tiers without positive mass
-            # (repair drift can leave a ~-1e-20 residue in a row);
-            # masking by the boolean is exact (x * True == x,
-            # x * False == 0.0).
+            # Tiers without positive mass are skipped, as in the
+            # reference engine (repair drift can leave a ~-1e-20
+            # residue in a row); masking by the boolean is exact
+            # (x * True == x, x * False == 0.0).
             np.greater(tier_counts, 0.0, out=positive)
             np.multiply(tier_counts, self._rf[:, None], out=reads)
             reads *= positive
@@ -882,7 +880,7 @@ class ProcessArena:
         if have_faults:
             # Faulted accesses pay the trap cost on top; attribute them
             # to the slowest tier's reads first, but only for segments
-            # that actually have mass there (the per-process path skips
+            # that actually have mass there (the reference engine skips
             # empty tiers entirely).
             faulted = self._faulted
             np.minimum(reads[:, last_tier], faults, out=faulted)
@@ -923,8 +921,8 @@ class ProcessArena:
 
     def flush_latency_into(self, engine: Any) -> None:
         """Scatter the per-key segment vectors into the engine's
-        mixtures (same pid-ascending order the per-process flush uses,
-        so global-mixture accumulation matches bit for bit)."""
+        mixtures, key by key and segment by segment (segments are in
+        ``kernel.processes`` order)."""
         store = self._lat_store
         if not store:
             return
@@ -955,7 +953,7 @@ def _fit(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 class FaultPlan:
-    """One hint-fault plan over a multi-segment arena's address space.
+    """One hint-fault plan over an arena's concatenated address space.
 
     Every protected page that can fault -- positive access probability
     ``p`` under its segment's current distribution -- owns one *slot*;
@@ -992,7 +990,6 @@ class FaultPlan:
         self.seg_starts = arena.seg_starts
         self.cells = arena._cells
         self.rng = arena.rng
-        self.max_touch = arena.engine.FAULT_DORMANT_MAX_TOUCH
         #: page -> slot: ``s + 1`` for active slot ``s``, ``-(s + 1)``
         #: for dormant slot ``s``, 0 for none
         self.slot_of = np.zeros(int(arena.seg_starts[-1]), dtype=np.int32)
@@ -1130,8 +1127,8 @@ class FaultPlan:
             return 0
         seg = np.searchsorted(self.seg_starts, g, side="right") - 1
         # The split only steers cost (both laws are exact): the
-        # per-process path's ``0.02 / n`` cut at the segment's current n.
-        active = p >= self.max_touch / np.maximum(n_vec[seg], 1.0)
+        # touch-probability cut at the segment's current n.
+        active = p >= FAULT_DORMANT_MAX_TOUCH / np.maximum(n_vec[seg], 1.0)
         ga = g[active]
         if ga.size:
             a0, a1 = self.a_n, self.a_n + ga.size

@@ -4,7 +4,7 @@ Every simulated process advances through fixed wall-clock quanta (default
 50 ms).  Within a quantum the engine:
 
 1. asks the workload for its access distribution ``p`` and prices the mix
-   against the current page placement (vectorised dot product),
+   against the current page placement,
 2. deducts queued kernel time (scan work, fault handling, migrations
    charged by the previous quantum) from the quantum budget,
 3. computes the number of completed accesses
@@ -17,37 +17,29 @@ Every simulated process advances through fixed wall-clock quanta (default
    mixture.
 
 Between quanta the kernel timer queue fires scan events, reclaim passes,
-LRU aging, and policy daemons.  This design makes the steady-state cost
-of a quantum amortized O(tiers) + O(pages that changed) while preserving
-the per-page fault/CIT statistics of an access-by-access simulation.
+LRU aging, and policy daemons.
 
-Hot-path structure (``docs/SIMULATION.md`` section 5 is the long form):
+There are two stepping paths and no others:
 
-* **Pricing** collapses to O(tiers): the mass each tier serves only
-  changes when the placement changes (a migration bumps
-  ``PageState.epoch``) or the workload rotates its distribution (phase
-  changes swap in a *new* probability array; distributions are
-  immutable, per the :mod:`repro.workloads.base` contract).  The
-  per-process tier-mass cache is keyed on ``(id(probs), pages.epoch)``
-  and repaired in O(moved) from the page-state move journal; the
-  contention-multiplier vector is computed once per quantum.
-* **Ground-truth accounting** is deferred: the engine appends one
-  ``(probs, n)`` ledger run per quantum (O(1)) and ``PageState``
-  materialises the counters only when a consumer reads them.
-* **Hint-fault sampling** splits the protected snapshot: pages with
-  per-quantum touch probability above ``FAULT_DORMANT_MAX_TOUCH`` get
-  individual Bernoulli draws, the cold remainder is one aggregate
-  Poisson draw placed by inverse-CDF lookup -- distributionally exact
-  (Poisson thinning) at O(active + faults) cost.
-* **Latency bookkeeping** accumulates per-quantum class counts into
-  plain dicts and folds them into the :class:`LatencyMixture` objects
-  once per :meth:`QuantumEngine.run`.
-
-Pass ``fast_path=False`` to force the original per-page recomputation
-every quantum (used by ``scripts/bench_engine.py`` to measure the win
-and by the equivalence tests); the reference path also draws per-page
-fault indicators from its original RNG stream, so fast and reference
-trajectories agree statistically, not bit for bit.
+* **The arena** (the default, ``fast_path=True``; ``docs/SIMULATION.md``
+  section 7) steps every (macro-)quantum as one batched array program
+  over a cross-process page arena (:mod:`repro.harness.arena`), one
+  process or many: a gather pass vectorised over write-through witness
+  cells, tier masses repaired in O(moved) from the page-state move
+  journal, pricing refolded only for dirty rows, one aggregate fault
+  draw from a fleet-wide fault plan (touches and fault times on the
+  dedicated ``engine.arena`` stream), one concatenated ledger account,
+  lazily flushed per-process stats, one latency fold and one demand
+  fold, with a steady-state cache that skips the recompute while no
+  input changed.  Its steady-state cost is amortized O(tiers) +
+  O(pages that changed) while it keeps the per-page fault/CIT
+  statistics of an access-by-access simulation.
+* **The reference engine** (``fast_path=False``, :meth:`run_quantum`)
+  steps one process at a time and recomputes everything every quantum:
+  a per-page latency vector, a full tier-mass recount, one Bernoulli
+  draw per protected page from the process's own stream, and eager
+  accounting.  It is the oracle the arena is held to; the two agree
+  statistically (same laws, different streams), not bit for bit.
 
 **Quantum fusion** (``docs/SIMULATION.md`` section 6) takes the
 steady-state stepping cost from O(quanta) to O(kernel events): before
@@ -64,36 +56,22 @@ one contention evaluation carried from the converged previous demand.
 Policies bound fusion through ``needs_per_quantum`` /
 ``max_fusion_quanta`` (see :class:`repro.policies.base.TieringPolicy`);
 ``fusion=False`` (the ``fusion_reference`` mode, CLI ``--no-fusion``)
-preserves per-quantum stepping for equivalence gating.  When fusion
+preserves per-quantum stepping for equivalence gating.  Fusion needs
+the arena: the reference engine always steps per quantum.  When fusion
 never engages the trajectory is bit-identical to the reference mode:
 the horizon check consumes no RNG and a one-quantum step executes the
-exact per-quantum path.  In arena mode the witness and debt bounds are
-vector compares over the arena's cells, and only its dynamic rows
-(stability, distribution identity) and target rows (access target,
-counting the arena's unflushed accesses) are checked one by one.  With
-a hub attached, every step counts the bound that set its width
+exact per-quantum path.  The witness and debt bounds are vector
+compares over the arena's cells, and only its dynamic rows (stability,
+distribution identity) and target rows (access target, counting the
+arena's unflushed accesses) are checked one by one.  With a hub
+attached, every step counts the bound that set its width
 (``engine.fusion_limited_<bound>``).
-
-**Arena stepping** (``docs/SIMULATION.md`` section 7) removes the last
-O(n_procs) Python loop from the steady-state step: with ``arena=True``
-(the default; requires the fast path) every (macro-)quantum executes as
-one batched array program over a cross-process page arena
-(:mod:`repro.harness.arena`) -- a gather pass vectorised over
-write-through witness cells, pricing refolded only for dirty rows, one
-aggregate fault draw from a fleet-wide fault plan, one concatenated
-ledger account, one latency fold, one demand fold, with a steady-state
-cache that skips the recompute while no input changed.  ``arena=False``
-keeps the per-process fast path as the arena's reference mode; a
-single-process arena is bit-identical to it, multi-process arenas are
-statistically equivalent (the fault plan consumes a dedicated
-``engine.arena`` stream).  The steady-state fusion witness lives in the
-arena's epoch matrix instead of per-process buffers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -108,56 +86,6 @@ from repro.vm.process import SimProcess
 Observer = Callable[["QuantumEngine", int], None]
 
 
-class _ProcessBuffers:
-    """Preallocated per-process scratch state for the quantum hot path."""
-
-    __slots__ = (
-        "count_buf", "mass_probs", "mass_epoch", "tier_mass",
-        "mass_resync", "fault_probs", "fault_prot", "prot_p",
-        "active_pos", "active_p", "dormant_pos", "dormant_cdf",
-        "dormant_mass", "touched_mask",
-        "fusion_probs", "fusion_epoch", "fusion_protect_epoch",
-    )
-
-    def __init__(self, n_pages: int) -> None:
-        #: reference-path accounting scratch (unused on the fast path,
-        #: which defers accounting through the page-state ledger)
-        self.count_buf: Optional[np.ndarray] = None
-        #: cache key for ``tier_mass``: the workload's probability array
-        #: (held by reference, so a freed array's address cannot alias a
-        #: new distribution) plus the placement epoch at computation time
-        self.mass_probs: Optional[np.ndarray] = None
-        self.mass_epoch: int = -1
-        self.tier_mass: Optional[np.ndarray] = None
-        #: incremental-delta applications left before the next full
-        #: recount (bounds float drift from repeated add/subtract)
-        self.mass_resync: int = 0
-        #: fault-candidate cache (fast path): the protected snapshot is
-        #: split into an *active* head (per-page Bernoulli draws) and a
-        #: *dormant* tail sampled through one aggregate Poisson draw.
-        #: Keyed by identity on the probability array and the
-        #: copy-on-write protected-page snapshot; both are replaced --
-        #: never mutated -- when their contents change.
-        self.fault_probs: Optional[np.ndarray] = None
-        self.fault_prot: Optional[np.ndarray] = None
-        self.prot_p: Optional[np.ndarray] = None
-        self.active_pos: Optional[np.ndarray] = None
-        self.active_p: Optional[np.ndarray] = None
-        self.dormant_pos: Optional[np.ndarray] = None
-        self.dormant_cdf: Optional[np.ndarray] = None
-        self.dormant_mass: float = 0.0
-        self.touched_mask: Optional[np.ndarray] = None
-        #: steady-state witness recorded at the end of each quantum: the
-        #: distribution array the quantum ran against plus the placement
-        #: and protection epochs it left behind.  The fusion horizon
-        #: check compares these against the live state -- any mismatch
-        #: (migration, scan, phase change) disables fusion for the next
-        #: step.
-        self.fusion_probs: Optional[np.ndarray] = None
-        self.fusion_epoch: int = -1
-        self.fusion_protect_epoch: int = -1
-
-
 class QuantumEngine:
     """Advances processes and kernel daemons through simulated time."""
 
@@ -167,27 +95,21 @@ class QuantumEngine:
         quantum_ns: int = 50 * MILLISECOND,
         fast_path: bool = True,
         fusion: bool = True,
-        arena: bool = True,
     ) -> None:
         if quantum_ns <= 0:
             raise ValueError("quantum must be positive")
         self.kernel = kernel
         self.quantum_ns = int(quantum_ns)
+        #: arena stepping (``True``) or the reference engine (``False``)
         self.fast_path = bool(fast_path)
         #: quantum fusion enabled?  ``False`` is the ``fusion_reference``
         #: mode: per-quantum stepping, for equivalence gating.  Fusion
         #: additionally requires the fast path (the reference path exists
         #: precisely to replay the historical per-quantum trajectory).
         self.fusion = bool(fusion) and self.fast_path
-        #: arena stepping enabled?  ``False`` keeps the per-process fast
-        #: path (the arena's reference mode, CLI ``--no-arena``); like
-        #: fusion, the arena requires the fast path.
-        self.arena = bool(arena) and self.fast_path
         #: lazily built :class:`repro.harness.arena.ProcessArena`;
         #: rebuilt whenever the fleet changes, torn down at run end
         self._arena = None
-        #: arena step() invocations (one per engine step in arena mode)
-        self.arena_steps = 0
         self.latency = LatencyMixture()
         self.latency_by_pid: Dict[int, LatencyMixture] = {}
         #: per-process pending latency classes ``{pid: {key: count}}``,
@@ -196,7 +118,6 @@ class QuantumEngine:
         self._lat_pending: Dict[int, Dict[int, float]] = {}
         self._prev_demand_bytes_per_sec = np.zeros(kernel.machine.n_tiers)
         self._multipliers = np.ones(kernel.machine.n_tiers)
-        self._buffers: Dict[int, _ProcessBuffers] = {}
         # Small per-quantum scratch vectors (O(tiers)).
         n_tiers = kernel.machine.n_tiers
         self._n_tiers = n_tiers
@@ -226,9 +147,10 @@ class QuantumEngine:
         """Install this quantum's effective tier latencies and derive
         their latency-mixture keys.
 
-        The single place latency keys are rounded: both the per-process
-        path and the arena fold consume ``_read_keys`` / ``_write_keys``
-        / ``_fault_key`` from here, so the two modes cannot drift.
+        The single place latency keys are rounded: both the reference
+        engine and the arena fold consume ``_read_keys`` /
+        ``_write_keys`` / ``_fault_key`` from here, so the two paths
+        cannot drift.
         ``read_lats`` / ``write_lats`` are plain Python float lists
         (``tolist()``-ed once per quantum).
         """
@@ -241,15 +163,6 @@ class QuantumEngine:
             + self.kernel.machine.spec.effective_fault_cost_ns
         )
         self._fault_key = int(round(self._fault_lat))
-
-    def _buffers_for(self, process: SimProcess) -> _ProcessBuffers:
-        """Get-or-create the per-process scratch buffers."""
-        buffers = self._buffers.get(process.pid)
-        if buffers is None:
-            buffers = self._buffers[process.pid] = _ProcessBuffers(
-                process.pages.n_pages
-            )
-        return buffers
 
     # ------------------------------------------------------------------
     def run(
@@ -335,7 +248,7 @@ class QuantumEngine:
                 )
                 demand = self._demand_accum
                 demand.fill(0.0)
-                if self.arena:
+                if self.fast_path:
                     demand += self._arena_step(start, macro_ns)
                 else:
                     for process in self.kernel.processes:
@@ -373,12 +286,11 @@ class QuantumEngine:
                         slow_contention=gauges["machine.slow_contention"],
                     )
                     arena_obj = self._arena
-                    plan = arena_obj.plan if arena_obj is not None else None
-                    if plan is not None:
+                    if arena_obj is not None:
+                        plan = arena_obj.plan
                         for name, delta in plan.take_counters().items():
                             if delta:
                                 obs.inc(name, delta)
-                    if arena_obj is not None:
                         repriced, skipped = (
                             arena_obj.take_reprice_counters()
                         )
@@ -439,7 +351,6 @@ class QuantumEngine:
             if arena is not None:
                 arena.detach()
             arena = self._arena = ProcessArena(self)
-        self.arena_steps += 1
         return arena.step(start_ns, macro_ns)
 
     # ------------------------------------------------------------------
@@ -475,10 +386,10 @@ class QuantumEngine:
         The bound names the ``engine.fusion_limited_<bound>`` counter
         the step counts under: ``run_end``, ``event``, ``observer``,
         ``max_quanta``, ``witness``, ``debt``, ``stability`` or
-        ``target`` (the first of tied bounds, in that order).  In arena
-        mode the witness and debt bounds are vector compares over the
-        arena's cells, and only its dynamic and target rows get
-        per-row checks (:meth:`_row_horizon`).
+        ``target`` (the first of tied bounds, in that order).  The
+        witness and debt bounds are vector compares over the arena's
+        cells; only its dynamic rows (stability, distribution identity)
+        and target rows (access target) are checked one by one.
         """
         q = self.quantum_ns
         # Whole quanta left in the run; a trailing partial quantum runs
@@ -500,59 +411,19 @@ class QuantumEngine:
                 if k <= 1:
                     return 1, name
                 n, bound = int(k), name
-        if self.arena:
-            arena = self._arena
-            if arena is None or arena.processes != self.kernel.processes:
-                # No step of this fleet recorded a witness yet.
-                return 1, "witness"
-            live = arena._live_mask
-            # The witness: placement and protect epochs unchanged since
-            # the last quantum (a -1 witness never matches an epoch).
-            moved = (arena._cells[:2] != arena.witness_epochs).any(axis=0)
-            if (moved & live).any():
-                return 1, "witness"
-            debt = arena._debt_cells
-            owed = debt[(debt > 0.0) & live]
-            min_debt = float(owed.min()) if owed.size else 0.0
-            refs, acc_n = arena.probs_refs, arena._acc_n
-            dynamic = (
-                (row[2], refs[row[0]]) for row in arena._dynamic_rows
-            )
-            targets = (
-                (row[1], float(acc_n[row[0]]))
-                for row in arena._target_rows
-            )
-        else:
-            live_procs = [
-                p for p in self.kernel.processes if not p.finished
-            ]
-            for process in live_procs:
-                buffers = self._buffers.get(process.pid)
-                if buffers is None or buffers.fusion_probs is None:
-                    # First quantum for this process: no witness.
-                    return 1, "witness"
-                pages = process.pages
-                if (
-                    buffers.fusion_epoch != pages.epoch
-                    or buffers.fusion_protect_epoch != pages.protect_epoch
-                ):
-                    return 1, "witness"
-            min_debt = min(
-                (
-                    p.pending_kernel_ns for p in live_procs
-                    if p.pending_kernel_ns > 0.0
-                ),
-                default=0.0,
-            )
-            dynamic = (
-                (p.workload, self._buffers[p.pid].fusion_probs)
-                for p in live_procs
-            )
-            targets = (
-                (p, 0.0) for p in live_procs
-                if p.target_accesses is not None
-            )
-        if min_debt > 0.0:
+        arena = self._arena
+        if arena is None or arena.processes != self.kernel.processes:
+            # No step of this fleet recorded a witness yet.
+            return 1, "witness"
+        live = arena._live_mask
+        # The witness: placement and protect epochs unchanged since the
+        # last quantum (a -1 witness never matches an epoch).
+        moved = (arena._cells[:2] != arena.witness_epochs).any(axis=0)
+        if (moved & live).any():
+            return 1, "witness"
+        debt = arena._debt_cells
+        owed = debt[(debt > 0.0) & live]
+        if owed.size:
             # Pending kernel debt (e.g. a migration burst's cost) makes
             # upcoming quanta heterogeneous: full-stall quanta execute
             # zero accesses, then a mixed quantum drains the remainder.
@@ -563,32 +434,13 @@ class QuantumEngine:
             # windows are exact (zero accesses either way), so cap the
             # horizon at the smallest debtor's whole stalled quanta and
             # let the mixed quantum run unfused.
-            stall_quanta = int(min_debt // q)
+            stall_quanta = int(float(owed.min()) // q)
             if stall_quanta <= 1:
                 return 1, "debt"
             if stall_quanta < n:
                 n, bound = stall_quanta, "debt"
-        return self._row_horizon(n, bound, start_ns, dynamic, targets)
-
-    def _row_horizon(
-        self,
-        n: int,
-        bound: str,
-        start_ns: int,
-        dynamic: Iterable[Tuple[Any, np.ndarray]],
-        targets: Iterable[Tuple[SimProcess, float]],
-    ) -> Tuple[int, str]:
-        """The per-process fusion bounds, applied to ``(n, bound)``.
-
-        ``dynamic`` holds ``(workload, probs)`` pairs, ``probs`` the
-        array the workload's last quantum ran against: each gets the
-        stability bound and the distribution-identity check.
-        ``targets`` holds ``(process, unflushed)`` pairs, ``unflushed``
-        the accesses the arena has not yet folded into
-        ``process.stats``: each gets the access-target bound.
-        """
-        q = self.quantum_ns
-        for workload, probs in dynamic:
+        refs = arena.probs_refs
+        for i, _proc, workload, _pages in arena._dynamic_rows:
             # Duck-typed workloads predating the fusion contract get no
             # stability guarantee: treat them like ``stable_until_ns``
             # returning ``now`` (fusion disabled, stepping unchanged).
@@ -604,11 +456,14 @@ class QuantumEngine:
             # repeats it.  The distribution for the upcoming quantum must
             # be the exact array the last quantum ran against.
             workload.advance(start_ns)
-            if workload.access_distribution() is not probs:
+            if workload.access_distribution() is not refs[i]:
                 return 1, "witness"
-        for process, unflushed in targets:
+        acc_n = arena._acc_n
+        for i, process, workload, _pages in arena._target_rows:
+            # The arena folds its accesses into ``process.stats`` lazily:
+            # count the unflushed ones too.
             remaining = process.target_accesses - (
-                process.stats.accesses + unflushed
+                process.stats.accesses + float(acc_n[i])
             )
             if remaining > 0:
                 # A quantum cannot complete more accesses than budget
@@ -616,7 +471,6 @@ class QuantumEngine:
                 # (fastest tier, no contention), so the finishing
                 # quantum index is at least ceil(remaining / cap) --
                 # fusing up to it cannot overshoot the target.
-                workload = process.workload
                 cap = q / (
                     self._min_access_cost_ns(workload.write_fraction)
                     + workload.delay_ns_per_access
@@ -643,67 +497,24 @@ class QuantumEngine:
         return float(mix.min())
 
     # ------------------------------------------------------------------
-    #: incremental tier-mass updates applied before forcing a full
-    #: recount; bounds accumulated float error from delta arithmetic
-    MASS_RESYNC_MOVES: int = 256
-
+    # The reference engine (``fast_path=False``)
+    # ------------------------------------------------------------------
     def _tier_mass(
         self, process: SimProcess, probs: np.ndarray
     ) -> np.ndarray:
-        """Probability mass served by each tier, cached across quanta.
-
-        ``tier_mass[t] = sum(probs[i] for pages i resident on tier t)``.
-        The result only changes when a migration moves pages
-        (``pages.epoch``) or the workload swaps in a new distribution
-        array.  On an epoch miss the cached masses are advanced by
-        replaying the placement journal -- O(moved) per migration --
-        falling back to the full O(pages) reduction when the journal was
-        truncated, the distribution changed, or enough deltas accumulated
-        to warrant a drift-bounding resync.
-        """
-        pages = process.pages
-        buffers = self._buffers_for(process)
-        if self.fast_path and buffers.mass_probs is probs:
-            if buffers.mass_epoch == pages.epoch:
-                return buffers.tier_mass
-            moves = (
-                pages.moves_since(buffers.mass_epoch)
-                if buffers.mass_resync > 0
-                else None
-            )
-            if moves is not None and len(moves) <= buffers.mass_resync:
-                mass = buffers.tier_mass
-                for _epoch, vpns, old_tiers, new_tier in moves:
-                    if vpns.size:
-                        moved = probs[vpns]
-                        mass -= np.bincount(
-                            old_tiers, weights=moved, minlength=mass.size
-                        )
-                        mass[new_tier] += float(moved.sum())
-                # Replay rounding can drift a zero-mass tier a few ulps
-                # negative, which the demand fold then feeds to the
-                # contention model as negative demand.  True mass is
-                # non-negative, so the clamp only removes drift.
-                np.maximum(mass, 0.0, out=mass)
-                buffers.mass_resync -= len(moves)
-                buffers.mass_epoch = pages.epoch
-                return mass
-        tier_mass = np.bincount(
-            pages.tier.astype(np.int64),
+        """Probability mass served by each tier, recounted from scratch:
+        ``tier_mass[t] = sum(probs[i] for pages i resident on tier t)``."""
+        return np.bincount(
+            process.pages.tier.astype(np.int64),
             weights=probs,
             minlength=self.kernel.machine.n_tiers,
         )
-        buffers.mass_probs = probs
-        buffers.mass_epoch = pages.epoch
-        buffers.tier_mass = tier_mass
-        buffers.mass_resync = self.MASS_RESYNC_MOVES
-        return tier_mass
 
     def run_quantum(
         self, process: SimProcess, start_ns: int, quantum_ns: int
     ) -> np.ndarray:
-        """Execute one process for one quantum; returns per-tier bytes of
-        demand it generated."""
+        """Execute one process for one quantum on the reference engine;
+        returns per-tier bytes of demand it generated."""
         machine = self.kernel.machine
         if process.finished:
             return self._zero_demand
@@ -714,40 +525,16 @@ class QuantumEngine:
         pages = process.pages
         write_fraction = workload.write_fraction
         multipliers = self._multipliers
-        buffers = self._buffers_for(process)
 
-        # Price the access mix against current placement + contention.
-        # Every page on a tier shares the tier's latency, so the O(pages)
-        # dot product ``probs @ per_page_latency`` reduces to an O(tiers)
-        # product against the per-tier probability mass.
-        pricing_mass = self._tier_mass(process, probs)
-        if self.fast_path:
-            # Scalar arithmetic over the O(tiers) per-quantum latency
-            # lists: at 2-3 tiers, numpy's per-call dispatch costs more
-            # than the work itself.
-            read_lats = self._read_lat_list
-            write_lats = self._write_lat_list
-            masses = pricing_mass.tolist()
-            read_fraction = 1.0 - write_fraction
-            mean_latency = 0.0
-            total_mass = 0.0
-            for tier_id in range(self._n_tiers):
-                mass = masses[tier_id]
-                total_mass += mass
-                mean_latency += mass * (
-                    read_fraction * read_lats[tier_id]
-                    + write_fraction * write_lats[tier_id]
-                )
-        else:
-            # Reference path: rebuild the per-page latency vector from
-            # scratch, exactly as the pre-optimization engine did.
-            tier_idx = pages.tier
-            per_page_latency = (
-                (1.0 - write_fraction) * machine.read_latency_ns[tier_idx]
-                + write_fraction * machine.write_latency_ns[tier_idx]
-            ) * multipliers[tier_idx]
-            mean_latency = float(probs @ per_page_latency)
-            total_mass = float(pricing_mass.sum())
+        # Price the access mix against current placement + contention:
+        # the per-page latency vector, rebuilt from scratch.
+        tier_idx = pages.tier
+        per_page_latency = (
+            (1.0 - write_fraction) * machine.read_latency_ns[tier_idx]
+            + write_fraction * machine.write_latency_ns[tier_idx]
+        ) * multipliers[tier_idx]
+        mean_latency = float(probs @ per_page_latency)
+        total_mass = float(self._tier_mass(process, probs).sum())
 
         kernel_used = process.drain_pending_kernel(quantum_ns)
         budget = quantum_ns - kernel_used
@@ -762,70 +549,41 @@ class QuantumEngine:
         else:
             n_accesses = 0.0
 
-        # Hint faults on protected pages touched this quantum.  The
-        # maintained protected-page counter makes the common no-scan case
-        # free instead of an O(pages) flatnonzero.
+        # Hint faults on protected pages touched this quantum: one
+        # Bernoulli draw per page of the full protected snapshot.
         n_faults = 0
         if n_accesses > 0:
-            if not self.fast_path:
-                # Reference path: the original per-page Bernoulli pass
-                # over the full protected snapshot.
-                protected = pages.protected_pages()
-                if protected.size:
-                    lam = n_accesses * probs[protected]
-                    touched = process.rng.random(
-                        protected.size
-                    ) < -np.expm1(-lam)
-                    touched_vpns = protected[touched]
-                    if touched_vpns.size:
-                        batch = take_hint_faults(
-                            process,
-                            touched_vpns,
-                            start_ns,
-                            quantum_ns,
-                            process.rng,
-                            rates_per_ns=lam[touched] / quantum_ns,
-                            # The surviving protected set is already
-                            # known here -- hand it down so the unprotect
-                            # skips its membership search.
-                            cache_remainder=protected[~touched],
-                        )
-                        n_faults = batch.n_faults
-                        self.kernel.deliver_faults(process, batch)
-            elif pages.n_protected > 0:
-                n_faults = self._sample_hint_faults(
-                    process, pages, probs, buffers, n_accesses,
-                    start_ns, quantum_ns,
-                )
+            protected = pages.protected_pages()
+            if protected.size:
+                lam = n_accesses * probs[protected]
+                touched = process.rng.random(
+                    protected.size
+                ) < -np.expm1(-lam)
+                touched_vpns = protected[touched]
+                if touched_vpns.size:
+                    batch = take_hint_faults(
+                        process,
+                        touched_vpns,
+                        start_ns,
+                        quantum_ns,
+                        process.rng,
+                        rates_per_ns=lam[touched] / quantum_ns,
+                        # The surviving protected set is already known
+                        # here -- hand it down so the unprotect skips
+                        # its membership search.
+                        cache_remainder=protected[~touched],
+                    )
+                    n_faults = batch.n_faults
+                    self.kernel.deliver_faults(process, batch)
 
         # Accounting runs against the *post-fault* placement: fault-path
-        # promotions (Linux-NB, TPP, AutoTiering) bumped the placement
-        # epoch, so this re-lookup recomputes the mass only when pages
-        # actually moved this quantum.
-        if (
-            self.fast_path
-            and buffers.mass_epoch == pages.epoch
-            and buffers.mass_probs is probs
-        ):
-            tier_mass = pricing_mass
-        else:
-            tier_mass = self._tier_mass(process, probs)
+        # promotions (Linux-NB, TPP, AutoTiering) may have moved pages.
+        tier_mass = self._tier_mass(process, probs)
 
-        # Ground-truth accounting.  The fast path records an O(1) ledger
-        # entry; the O(pages) materialisation happens only when a consumer
-        # (aging, tracing, reporting) reads the counters.  The reference
-        # path keeps the eager per-quantum accumulation.
-        if self.fast_path:
-            pages.defer_accesses(probs, n_accesses)
-        else:
-            count_buf = buffers.count_buf
-            if count_buf is None:
-                count_buf = buffers.count_buf = np.empty(
-                    pages.n_pages, dtype=np.float64
-                )
-            np.multiply(probs, n_accesses, out=count_buf)
-            pages.access_count += count_buf
-            pages.last_window_count += count_buf
+        # Eager ground-truth accounting.
+        counts = probs * n_accesses
+        pages.access_count += counts
+        pages.last_window_count += counts
 
         fast_accesses = n_accesses * float(tier_mass[FAST_TIER])
         process.record_accesses(
@@ -862,14 +620,6 @@ class QuantumEngine:
         ):
             process.finished = True
 
-        # Steady-state witness for quantum fusion: what this quantum ran
-        # against and the state it left behind (after faults and any
-        # policy reaction).  Kernel events firing between quanta bump the
-        # epochs and break the match, as does a distribution swap.
-        buffers.fusion_probs = probs
-        buffers.fusion_epoch = pages.epoch
-        buffers.fusion_protect_epoch = pages.protect_epoch
-
         # Bandwidth demand, write-weighted per tier (Optane writes eat a
         # multiple of their byte count from the bandwidth budget).  The
         # returned buffer is consumed (accumulated) by ``run`` before the
@@ -883,117 +633,6 @@ class QuantumEngine:
             out=self._demand_out,
         )
         return self._demand_out
-
-    # ------------------------------------------------------------------
-    #: per-quantum touch probability below which a protected page is
-    #: sampled through the aggregated dormant draw instead of its own
-    #: Bernoulli draw (see ``_sample_hint_faults``)
-    FAULT_DORMANT_MAX_TOUCH: float = 0.02
-
-    def _rebuild_fault_cache(
-        self,
-        buffers: _ProcessBuffers,
-        probs: np.ndarray,
-        protected: np.ndarray,
-        n_accesses: float,
-    ) -> None:
-        """Split the protected snapshot into active / dormant candidates.
-
-        Costs O(protected) and runs only when the protected set or the
-        access distribution changed (both are replaced, never mutated, so
-        an identity check detects staleness).
-        """
-        p_sub = probs[protected]
-        cut = self.FAULT_DORMANT_MAX_TOUCH / max(n_accesses, 1.0)
-        active = p_sub >= cut
-        buffers.prot_p = p_sub
-        buffers.active_pos = active_pos = np.flatnonzero(active)
-        buffers.active_p = p_sub[active_pos]
-        np.logical_not(active, out=active)
-        active &= p_sub > 0.0  # zero-probability pages can never fault
-        buffers.dormant_pos = dormant_pos = np.flatnonzero(active)
-        cdf = np.cumsum(p_sub[dormant_pos])
-        buffers.dormant_cdf = cdf
-        buffers.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
-        buffers.touched_mask = np.empty(protected.size, dtype=bool)
-        buffers.fault_probs = probs
-        buffers.fault_prot = protected
-
-    def _sample_hint_faults(
-        self,
-        process: SimProcess,
-        pages,
-        probs: np.ndarray,
-        buffers: _ProcessBuffers,
-        n_accesses: float,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> int:
-        """Resolve this quantum's hint faults in O(active + touched).
-
-        Distributionally identical to the reference per-page pass: each
-        protected page is touched with probability ``1 - exp(-n * p)``,
-        independently.  Hot ("active") candidates get their own Bernoulli
-        draw; the dormant tail is sampled by drawing the total number of
-        dormant accesses ``K ~ Poisson(n * dormant_mass)`` and placing
-        them on pages proportionally to ``p`` -- by Poisson thinning the
-        two formulations induce exactly the same touched-set law.  At
-        steady state (thousands of cold protected pages, hardly any
-        touched) the quantum costs a few scalar draws instead of an
-        O(protected) vector pass.
-        """
-        protected = pages.protected_pages()
-        if not protected.size:
-            return 0
-        if (
-            buffers.fault_probs is not probs
-            or buffers.fault_prot is not protected
-        ):
-            self._rebuild_fault_cache(
-                buffers, probs, protected, n_accesses
-            )
-        rng = process.rng
-        mask = None
-        active_p = buffers.active_p
-        if active_p.size:
-            lam = n_accesses * active_p
-            touched = rng.random(active_p.size) < -np.expm1(-lam)
-            if touched.any():
-                mask = buffers.touched_mask
-                mask[:] = False
-                mask[buffers.active_pos[touched]] = True
-        if buffers.dormant_mass > 0.0:
-            k = rng.poisson(n_accesses * buffers.dormant_mass)
-            if k:
-                cdf = buffers.dormant_cdf
-                hits = np.searchsorted(
-                    cdf,
-                    rng.random(int(k)) * buffers.dormant_mass,
-                    side="right",
-                )
-                # A draw can round onto the upper cdf edge; clamp it
-                # back into range (measure-zero event, any bucket works).
-                np.minimum(hits, cdf.size - 1, out=hits)
-                if mask is None:
-                    mask = buffers.touched_mask
-                    mask[:] = False
-                mask[buffers.dormant_pos[hits]] = True
-        if mask is None:
-            return 0
-        touched_vpns = protected[mask]
-        rates = n_accesses * buffers.prot_p[mask] / quantum_ns
-        np.logical_not(mask, out=mask)
-        batch = take_hint_faults(
-            process,
-            touched_vpns,
-            start_ns,
-            quantum_ns,
-            rng,
-            rates_per_ns=rates,
-            cache_remainder=protected[mask],
-        )
-        self.kernel.deliver_faults(process, batch)
-        return batch.n_faults
 
     # ------------------------------------------------------------------
     def _record_latency(
@@ -1041,10 +680,11 @@ class QuantumEngine:
         """Fold pending latency classes into the public mixtures.
 
         Runs at the end of every ``run`` call; until then the per-quantum
-        hot path only touches plain per-process dicts.  Callers driving
-        ``run_quantum`` directly (tests, custom harnesses) can invoke
-        this to materialise ``latency`` / ``latency_by_pid`` on demand.
-        In arena mode the per-key segment vectors scatter here too.
+        hot path only touches plain per-process dicts (reference engine)
+        or per-key segment vectors (arena), which both scatter here.
+        Callers driving ``run_quantum`` directly (tests, custom
+        harnesses) can invoke this to materialise ``latency`` /
+        ``latency_by_pid`` on demand.
         """
         if self._arena is not None:
             self._arena.flush_latency_into(self)

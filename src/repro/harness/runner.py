@@ -1,7 +1,8 @@
 """One-call experiment runner.
 
 ``run_experiment`` assembles a machine, a kernel, processes, and a policy,
-runs the quantum engine, and returns a :class:`RunResult` carrying every
+runs the quantum engine (arena stepping by default, the reference engine
+with ``fast_path=False``), and returns a :class:`RunResult` carrying every
 metric the paper's figures read: throughput, FMAR, latency statistics,
 kernel-time share, context-switch rate, promotion/demotion counters, and
 the recorded time series (threshold/rate histories, DRAM-page
@@ -42,10 +43,6 @@ class RunConfig:
     #: quantum fusion (event-horizon macro-quanta); ``False`` forces the
     #: per-quantum ``fusion_reference`` stepping mode (CLI ``--no-fusion``)
     fusion: bool = True
-    #: cross-process arena stepping (one batched array program per
-    #: quantum); ``False`` keeps the per-process fast path as the
-    #: arena's reference mode (CLI ``--no-arena``)
-    arena: bool = True
 
     def __post_init__(self) -> None:
         if self.fast_pages <= 0 or self.slow_pages <= 0:
@@ -180,8 +177,9 @@ def run_experiment(
         observer / observe_every_ns: engine observation hook.
         profile: attach a :class:`Profiler` and report per-subsystem
             wall-time shares on the result.
-        fast_path: disable to force the reference (per-page) engine
-            pricing path; used for before/after benchmarking.
+        fast_path: ``True`` (the default) steps through the arena;
+            ``False`` runs the reference engine, the oracle the arena
+            is checked against.
         obs: optional :class:`repro.obs.hub.ObsHub`; when provided the
             whole stack emits trace events and metrics into it, and the
             result carries the metrics snapshot.  The caller owns the
@@ -215,7 +213,6 @@ def run_experiment(
         quantum_ns=config.quantum_ns,
         fast_path=fast_path,
         fusion=config.fusion,
-        arena=config.arena,
     )
     end_ns = engine.run(
         config.duration_ns,

@@ -23,8 +23,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.jit import scan_filter
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.vm.process import SimProcess
@@ -151,9 +149,9 @@ class TickingScanner:
                 step = min(self.config.scan_step_pages, process.n_pages)
                 window, wrapped = process.aspace.next_scan_window(step)
                 if tier_filter is not None:
-                    window = scan_filter(
-                        process.pages.tier, window, tier_filter
-                    )
+                    window = window[
+                        process.pages.tier[window] == tier_filter
+                    ]
                 marked = process.pages.protect(window, now_ns)
                 cost = window.size * scan_cost_ns
                 process.charge_kernel(cost)

@@ -9,9 +9,6 @@ This package provides the timing foundation every other subsystem builds on:
 * :mod:`repro.sim.clock` -- the virtual clock.
 * :mod:`repro.sim.events` -- a simple event scheduler (timer wheel) used by
   kernel daemons (scanner ticks, reclaim wakeups, DCSC probes).
-* :mod:`repro.sim.jit` -- optional ``CHRONO_JIT=1`` numba kernels with
-  bit-identical numpy fallbacks (always safe to import; numba is never
-  required).
 """
 
 from repro.sim.clock import VirtualClock

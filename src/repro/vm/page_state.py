@@ -45,9 +45,22 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 import numpy as np
 
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.sim.jit import ledger_fold
 
 NO_TIMESTAMP: int = -1
+
+
+def ledger_fold(
+    probs: np.ndarray,
+    n_accesses: float,
+    access: np.ndarray,
+    window: np.ndarray,
+    buf: np.ndarray,
+) -> None:
+    """Fold one ``(probs, n)`` ledger run into both counters in place:
+    one multiply into the scratch ``buf``, then two axpys."""
+    np.multiply(probs, n_accesses, out=buf)
+    access += buf
+    window += buf
 
 
 def _sorted_unique(vpns: np.ndarray) -> np.ndarray:
@@ -148,7 +161,7 @@ class PageState:
             0, dtype=np.int64
         )
         #: protection-change log for an attached fault plan (the
-        #: multi-process arena's): arrays of vpns whose protection bit
+        #: arena's): arrays of vpns whose protection bit
         #: flipped through :meth:`protect`, :meth:`protect_at` or
         #: :meth:`unprotect` since the last :meth:`take_protect_log`.
         #: ``None`` while no plan is attached.  Bounded: once it would
@@ -446,7 +459,7 @@ class PageState:
 
         ``vpns`` must be sorted, unique and all currently protected, so
         the membership search of :meth:`unprotect` is skipped, and the
-        change is not logged: the per-process sampler passes
+        change is not logged: the reference engine's fault resolve passes
         ``remainder``, the untouched slice of its :meth:`protected_pages`
         snapshot, which becomes the new snapshot; the arena's fault plan
         passes none (the snapshot goes stale) and tombstones its own
@@ -464,10 +477,10 @@ class PageState:
 
         Lazy: the snapshot is materialised from ``prot_none`` on the
         first read after a change and served as is until the next one,
-        so fleets stepped through the arena's fault plan -- which never
-        reads it -- pay nothing for it.  Only the reference engine, the
-        per-process path and single-process arenas read it, and their
-        fault resolve installs the untouched remainder directly.  The
+        so runs stepped through the arena's fault plan -- which never
+        reads it -- pay nothing for it.  Only the reference engine reads
+        it, and its fault resolve installs the untouched remainder
+        directly.  The
         returned array is never mutated in place -- callers may hold it
         across updates; they must not write into it.
         """

@@ -1,5 +1,5 @@
 """The arena's test oracles: a per-segment step that recomputes
-everything every quantum, and the per-process fusion-horizon loop.
+everything every quantum, and a process-by-process fusion-horizon loop.
 
 ``step_reference(arena, start_ns, quantum_ns)`` executes one
 (macro-)quantum of a :class:`repro.harness.arena.ProcessArena` the
@@ -10,7 +10,8 @@ stat, latency and demand folds.  No witness cells, static rows, dirty
 bits or steady-state cache are consulted.
 
 :meth:`ProcessArena.step` must reproduce this function bit for bit on
-every fleet.  Tests install it in place of the production step::
+every fleet, one process included.  Tests install it in place of the
+production step::
 
     monkeypatch.setattr(ProcessArena, "step", step_reference)
 
@@ -101,7 +102,6 @@ def step_reference(arena, start_ns: int, quantum_ns: int) -> np.ndarray:
     np.sum(arena.mass, axis=1, out=tmp)
     np.sign(tmp, out=tmp)
     np.multiply(n_vec, tmp, out=n_vec)
-    n_list = n_vec.tolist()
 
     # ---- Phase 3: fault draw ------------------------------------------------
     faults = arena._faults
@@ -113,17 +113,10 @@ def step_reference(arena, start_ns: int, quantum_ns: int) -> np.ndarray:
     fast = mass[:, FAST_TIER] * n_vec
     user = n_vec * mean_lat
     stall = n_vec * delay
-    if arena._lazy_stats:
-        arena._acc_n += n_vec
-        arena._acc_fast += fast
-        arena._acc_user += user
-        arena._acc_stall += stall
-    else:
-        for row in rows:
-            i = row[0]
-            row[1].record_accesses(
-                n_list[i], float(fast[i]), float(user[i]), float(stall[i])
-            )
+    arena._acc_n += n_vec
+    arena._acc_fast += fast
+    arena._acc_user += user
+    arena._acc_stall += stall
     arena._fold_latency(n_vec, faults, have_faults)
     bwm = arena.kernel.machine.write_bw_multiplier
     weight = wf[:, None] * bwm[None, :]
@@ -134,6 +127,7 @@ def step_reference(arena, start_ns: int, quantum_ns: int) -> np.ndarray:
     # ---- Phase 7: policy hooks, finish checks, witness ----------------------
     hook = arena._resolve_policy_hook(arena.kernel.policy)
     if hook is not None:
+        n_list = n_vec.tolist()
         for row in rows:
             i = row[0]
             hook(row[1], refs[i], n_list[i], start_ns, quantum_ns)
@@ -163,10 +157,9 @@ def fusion_horizon_reference(
 ) -> int:
     """The fusion width, checked process by process (``>= 1``).
 
-    In arena mode a process's witness is its segment's epoch columns
-    and distribution reference, and its access count includes the
-    arena's unflushed accesses; otherwise both come from the engine's
-    per-process buffers and ``stats``.
+    A process's witness is its segment's epoch columns and distribution
+    reference, and its access count includes the arena's unflushed
+    accesses.
     """
     q = engine.quantum_ns
     n = (end_ns - start_ns) // q
@@ -183,23 +176,14 @@ def fusion_horizon_reference(
         return 1
     arena = engine._arena
     processes = engine.kernel.processes
-    if engine.arena and (arena is None or arena.processes != processes):
+    if arena is None or arena.processes != processes:
         return 1
     for index, process in enumerate(processes):
         if process.finished:
             continue
-        if engine.arena:
-            probs = arena.probs_refs[index]
-            epoch, protect_epoch = arena.witness_epochs[:, index]
-            unflushed = arena._acc_n[index]
-        else:
-            buffers = engine._buffers.get(process.pid)
-            if buffers is None or buffers.fusion_probs is None:
-                return 1
-            probs = buffers.fusion_probs
-            epoch = buffers.fusion_epoch
-            protect_epoch = buffers.fusion_protect_epoch
-            unflushed = 0.0
+        probs = arena.probs_refs[index]
+        epoch, protect_epoch = arena.witness_epochs[:, index]
+        unflushed = arena._acc_n[index]
         pages = process.pages
         if epoch != pages.epoch or protect_epoch != pages.protect_epoch:
             return 1

@@ -8,19 +8,20 @@ quanta.  Its contract:
 1. it executes the same IEEE-754 operations and consumes the same RNG
    stream as the test oracle (``tests/arena_oracle.py``, a per-segment
    step that recomputes everything every quantum), so trajectories are
-   bit-identical on every fleet -- distinct delays, distinct tables and
-   shared tables, contended or not, for every registered policy;
+   bit-identical on every fleet -- one tenant alone, distinct delays,
+   distinct tables and shared tables, contended or not, for every
+   registered policy;
 2. on shared-table fleets, contended included, the default engine
    agrees with the reference engine (``fast_path=False``) within the
    reference's own seed spread;
-3. it composes with the ``CHRONO_JIT`` kernels (the CI jit job re-runs
-   this file).
+3. its masked pricing fold (``price_fold``) rewrites exactly the dirty
+   rows, in the full fold's operation order.
 """
 
 import numpy as np
 import pytest
 
-from repro.harness.arena import ProcessArena
+from repro.harness.arena import ProcessArena, price_fold
 from repro.harness.engine import QuantumEngine
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
@@ -41,11 +42,25 @@ CONTENDED = dict(
     n_tenants=8, fast_pages=512, scan_period_ns=SECOND // 2
 )
 
-#: fleet shapes for the oracle bit-identity checks: one shared table at
-#: distinct delays, and eight tenants sharing two tables at one delay
+#: fleet shapes for the oracle bit-identity checks: one tenant alone,
+#: one shared table at distinct delays, and eight tenants sharing two
+#: tables at one delay
 FLEETS = {
+    "one-tenant": dict(n_tenants=1),
     "distinct-delays": dict(delay_step_units=1),
     "shared-tables": dict(n_tenants=8, delay_step_units=0, n_distinct=2),
+}
+
+#: the contended fleet shapes: the multi-tenant ones under
+#: ``CONTENDED``, and one tenant of 1,024 pages against 512 fast pages
+#: (scans every 0.5 s)
+CONTENDED_FLEETS = {
+    "distinct-delays": dict(FLEETS["distinct-delays"], **CONTENDED),
+    "shared-tables": dict(FLEETS["shared-tables"], **CONTENDED),
+    "one-tenant": dict(
+        n_tenants=1, pages=1_024, fast_pages=512,
+        scan_period_ns=SECOND // 2,
+    ),
 }
 
 
@@ -61,7 +76,8 @@ def run_multitenant(
     fast_path=True,
     **setup_overrides,
 ):
-    """One multitenant run on the default engine (arena on)."""
+    """One multitenant run: the arena by default, the reference engine
+    with ``fast_path=False``."""
     setup = StandardSetup(
         duration_ns=2 * SECOND, seed=seed, **setup_overrides
     )
@@ -77,7 +93,7 @@ def run_multitenant(
     return run_experiment(
         processes,
         policy,
-        setup.run_config(arena=True, fusion=fusion),
+        setup.run_config(fusion=fusion),
         obs=obs,
         fast_path=fast_path,
     )
@@ -120,15 +136,15 @@ class TestOracleBitIdentity:
         oracle = run_oracle("chrono", delay_step_units=0, n_distinct=4)
         assert fingerprint(step) == fingerprint(oracle)
 
-    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    @pytest.mark.parametrize("fleet", sorted(CONTENDED_FLEETS))
     @pytest.mark.parametrize("policy_name", HINT_FAULT_POLICIES)
     def test_contended_fleet_matches_oracle_exactly(
         self, policy_name, fleet
     ):
         """The contended regime, where placements diverge across
-        tenants and hint faults flow through the fleet-wide fault
-        plan: still bit for bit."""
-        kwargs = dict(FLEETS[fleet], **CONTENDED)
+        tenants and hint faults flow through the fault plan -- one
+        tenant alone included: still bit for bit."""
+        kwargs = CONTENDED_FLEETS[fleet]
         step = run_multitenant(policy_name, **kwargs)
         oracle = run_oracle(policy_name, **kwargs)
         assert step.fmar < 1.0
@@ -194,9 +210,7 @@ def build_arena_engine(n_tenants=4, pages=64, delay_step_units=0):
     for process in processes:
         kernel.register_process(process)
     kernel.allocate_initial_placement()
-    engine = QuantumEngine(
-        kernel, quantum_ns=10 * MILLISECOND, arena=True
-    )
+    engine = QuantumEngine(kernel, quantum_ns=10 * MILLISECOND)
     return kernel, engine, processes
 
 
@@ -255,6 +269,33 @@ class TestDirtyRowPricing:
         assert arena._n[0] < full[0]
         engine._arena_step(40 * MILLISECOND, 10 * MILLISECOND)
         assert arena._n[0] == full[0]
+
+
+class TestPriceFold:
+    def test_price_fold_masked_rows_only(self):
+        """The masked pricing fold writes exactly the indexed rows,
+        with the reference tier-order accumulation (coef = rf*read +
+        wf*write, then *mass, summed per tier)."""
+        rng = np.random.default_rng(4)
+        n_segs, n_tiers = 13, 3
+        mass = rng.random((n_segs, n_tiers)) * 5.0
+        wf = rng.random(n_segs)
+        rf = 1.0 - wf
+        read_lats = rng.random(n_tiers) * 100.0
+        write_lats = rng.random(n_tiers) * 300.0
+        idx = np.array([0, 2, 5, 11], dtype=np.int64)
+        out = np.full(n_segs, -1.0)
+        price_fold(mass, rf, wf, read_lats, write_lats, idx, out)
+        expected = np.full(n_segs, -1.0)
+        acc = np.zeros(idx.size)
+        for tier_id in range(n_tiers):
+            coef = rf[idx] * read_lats[tier_id]
+            coef += wf[idx] * write_lats[tier_id]
+            coef *= mass[idx, tier_id]
+            acc += coef
+        expected[idx] = acc
+        np.testing.assert_array_equal(out, expected)
+        assert out[1] == -1.0  # untouched rows keep their value
 
 
 class TestObsMetrics:

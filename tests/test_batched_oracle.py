@@ -4,7 +4,8 @@ The engine keeps its batched fast path through scan, aging, migration,
 and reclaim windows by replacing per-process loops with fleet passes:
 ``TickingScanner.scan_fleet``, ``LruLists.age_fleet``,
 ``LruLists.coldest_pages_two_phase``, ``MigrationEngine.migrate_many``,
-and the ``dcsc_fold`` / ``scan_filter`` array kernels.  Each pass claims
+the DCSC histogram fold (``repro.core.dcsc.dcsc_fold``) and the fleet
+scan's tier filter.  Each pass claims
 *exact* equivalence with its sequential reference -- same state updates,
 same RNG stream consumption, same global stats.  These tests hold every
 claim against an oracle: twin fixtures with identical seeds run the
@@ -24,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dcsc import dcsc_fold
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
 from repro.kernel.lru import LruLists
 from repro.kernel.reclaim import _merge_victims
 from repro.kernel.scanner import ScanConfig
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.sim.jit import dcsc_fold, scan_filter
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
 from tests.conftest import make_kernel, make_process
@@ -344,13 +345,28 @@ class TestArrayKernelOracle:
         )
 
     def test_scan_filter_matches_gather_compress(self):
-        rng = np.random.default_rng(3)
-        tier = rng.integers(0, 2, 256).astype(np.int8)
-        window = rng.permutation(256)[:64]
-        np.testing.assert_array_equal(
-            scan_filter(tier, window, FAST_TIER),
-            window[tier[window] == FAST_TIER],
+        """The fleet scan's tier filter keeps exactly the window pages
+        on the filtered tier, in window order, and marks only them."""
+        kernel, procs = twin_fleet()
+        _, twins = twin_fleet()
+        scanner = kernel.create_scanner(
+            ScanConfig(
+                scan_period_ns=SECOND, scan_step_pages=64,
+                tier_filter=FAST_TIER,
+            )
         )
+        seen = {}
+        scanner.on_scan = lambda process, window, now: seen.setdefault(
+            process.pid, window.copy()
+        )
+        scanner.scan_fleet([(process, 1_000) for process in procs])
+        for process, twin in zip(procs, twins):
+            window, _ = twin.aspace.next_scan_window(64)
+            expected = window[twin.pages.tier[window] == FAST_TIER]
+            np.testing.assert_array_equal(seen[process.pid], expected)
+            np.testing.assert_array_equal(
+                np.flatnonzero(process.pages.prot_none), np.sort(expected)
+            )
 
 
 class TestPolicyTransientOracle:

@@ -1,8 +1,8 @@
 """The arena's fleet-wide hint-fault plan (``repro.harness.arena.FaultPlan``).
 
-A multi-segment arena draws every quantum's hint faults from one plan
-over its concatenated address space (``docs/SIMULATION.md`` section 7).
-Three contracts:
+Every arena, one segment included, draws every quantum's hint faults
+from one plan over its concatenated address space
+(``docs/SIMULATION.md`` section 7).  Three contracts:
 
 1. the law: a protected page is touched in a quantum with probability
    ``1 - exp(-n_i p)``, independently -- through the active Bernoulli
@@ -130,23 +130,31 @@ class TestTouchLaw:
     N_VEC = np.array([30.0, 400.0, 5.0, 40.0])
     DRAWS = 3_000
 
-    def test_touch_frequency_matches_law(self):
-        arena = make_arena(self.SIZES)
+    def check_law(self, sizes, n_vec):
+        arena = make_arena(sizes)
         plan = arena.plan
         procs = arena.processes
         for proc in procs:
             proc.pages.protect(np.arange(proc.n_pages), 0)
-        plan.refresh(self.N_VEC)
+        plan.refresh(n_vec)
         assert plan.a_n > 0 and plan.c_n > 0  # both pools in play
-        touches, exposures = churn_draws(arena, self.N_VEC, self.DRAWS)
+        touches, exposures = churn_draws(arena, n_vec, self.DRAWS)
         assert plan.tombstoned > 0 and plan.appended > 0
         for i, proc in enumerate(procs):
             assert_touch_law(
                 proc.workload.access_distribution(),
-                self.N_VEC[i],
+                n_vec[i],
                 touches[i],
                 exposures[i],
             )
+
+    def test_touch_frequency_matches_law(self):
+        self.check_law(self.SIZES, self.N_VEC)
+
+    def test_single_segment_touch_frequency_matches_law(self):
+        """One segment alone, its hot pages in the active head and its
+        cold ones in the dormant tail."""
+        self.check_law(self.SIZES[-1:], self.N_VEC[-1:])
 
     def test_idle_segment_never_faults(self):
         """A segment pricing to zero accesses holds slots but draws
@@ -287,7 +295,7 @@ class TestProtectLog:
         assert pages.take_protect_log() is None
 
     def test_detach_unhooks_logs_and_witness_cells(self):
-        result = run_policy("linux-nb", arena=True, **CONTENDED)
+        result = run_policy("linux-nb", **CONTENDED)
         assert result.stats["hint_faults"] > 0
         for proc in result.kernel.processes:
             assert proc.pages._protect_log is None
@@ -297,7 +305,7 @@ class TestProtectLog:
 class TestPlanCounters:
     def test_counters_explain_the_plan_upkeep(self):
         hub = ObsHub.create(metrics=True)
-        result = run_policy("linux-nb", arena=True, obs=hub, **CONTENDED)
+        result = run_policy("linux-nb", obs=hub, **CONTENDED)
         counters = hub.snapshot()["counters"]
         # Every segment is read from prot_none before the first draw.
         assert counters["arena.fault_plan_resyncs"] >= CONTENDED["n_procs"]
@@ -344,11 +352,17 @@ class TestPlanCounters:
         assert plan.a_n == plan.a_live
         assert_plan_matches(arena)
 
-    def test_single_process_arena_has_no_plan(self):
+    def test_single_segment_arena_has_a_plan(self):
+        """A one-process arena keeps a plan like any fleet: its live
+        slots are its faultable protected pages."""
         arena = make_arena((64,))
-        assert arena.plan is None
+        assert arena.plan is not None
+        arena.processes[0].pages.protect(np.arange(0, 64, 2), 0)
+        arena.plan.refresh(np.array([30.0]))
+        assert arena.plan.a_live + arena.plan.d_live == 32
+        assert_plan_matches(arena)
 
     def test_arena_step_draws_from_the_plan(self):
         hub = ObsHub.create(metrics=True)
-        run_policy("tpp", arena=True, obs=hub, **CONTENDED)
+        run_policy("tpp", obs=hub, **CONTENDED)
         assert hub.snapshot()["counters"]["arena.fault_plan_appended"] > 0

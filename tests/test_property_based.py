@@ -373,9 +373,7 @@ class TestArenaMassRepairProperties:
         for process in processes:
             kernel.register_process(process)
         kernel.allocate_initial_placement()
-        engine = QuantumEngine(
-            kernel, quantum_ns=10 * MILLISECOND, arena=True
-        )
+        engine = QuantumEngine(kernel, quantum_ns=10 * MILLISECOND)
         engine._arena_step(0, 10 * MILLISECOND)
         return engine._arena, processes
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.vm.page_state import NO_TIMESTAMP, PageState
+from repro.vm.page_state import NO_TIMESTAMP, PageState, ledger_fold
 
 
 class TestConstruction:
@@ -144,6 +144,17 @@ class TestDeferredLedger:
         pages.flush_accounting()
         pages.flush_accounting()
         np.testing.assert_allclose(pages.access_count, np.full(8, 2.0))
+
+    def test_ledger_fold_accumulates_both_counters(self):
+        rng = np.random.default_rng(0)
+        probs = rng.random(257)
+        probs /= probs.sum()
+        access = rng.random(257) * 100.0
+        window = rng.random(257) * 10.0
+        base_access, base_window = access.copy(), window.copy()
+        ledger_fold(probs, 50.0, access, window, np.empty_like(probs))
+        np.testing.assert_array_equal(access, base_access + probs * 50.0)
+        np.testing.assert_array_equal(window, base_window + probs * 50.0)
 
 
 class TestMoveJournal:

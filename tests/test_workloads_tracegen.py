@@ -177,7 +177,7 @@ class TestFleetRuns:
         )
         policy = setup.build_policy("linux-nb")
         result = run_experiment(
-            processes, policy, setup.run_config(arena=True)
+            processes, policy, setup.run_config()
         )
         assert result.throughput_per_sec > 0
         exiters = [
