@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Engine hot-path benchmark: quanta/sec and cells/sec, before/after.
 
-Runs the standard pmbench workload under one policy twice -- once with
-the engine's optimized pricing path (cached tier masses, per-quantum
-contention vector, preallocated buffers) and once with the reference
-per-page path (``fast_path=False``, the pre-optimization behaviour) --
-and reports simulated quanta per second of host wall time for both,
-plus the profiled subsystem shares.
+Runs the standard pmbench workload under one policy with the engine's
+optimized pricing path (cached tier masses, per-quantum contention
+vector, preallocated buffers; the median of ``ENGINE_RUNS`` unprofiled
+runs) and once with the reference per-page path (``fast_path=False``,
+the pre-optimization behaviour), and reports simulated quanta per
+second of host wall time for both, plus the subsystem shares of one
+separate profiled run.
 
 The sweep section exercises the fleet-scale execution layer: a
 16-cell (policy x seed) pmbench grid is re-run cold at every rung of
@@ -20,7 +21,9 @@ ladder because parallel speedup is bounded by it.
 The fusion section times quantum fusion (one macro-quantum per
 steady-state stretch; see ``docs/SIMULATION.md``) against per-quantum
 stepping (``fusion=False``) on a steady-state Memtis/pmbench config,
-reporting quanta/sec both ways, the fusion ratio, and the speedup.
+reporting quanta/sec both ways, the fusion ratio, and the speedup: the
+median of ``FUSION_PAIRS`` interleaved pairs of runs on the process
+CPU clock.
 
 The arena section times the default engine (arena stepping: one
 batched array program per quantum; see ``docs/SIMULATION.md``)
@@ -80,9 +83,11 @@ the perf trajectory.  Every payload carries a ``provenance`` block
 numbers can be traced to the host that produced them; ``--quick``
 warns when the committed baseline came from a host with a different
 CPU count.  ``--quick`` is the CI regression gate: it times only the
-optimized path at the default scale and fails (exit 1) when
-quanta/sec drops below ``QUICK_GATE_FRACTION`` of the committed
-baseline's ``after.quanta_per_sec``, when cold sweep throughput at
+optimized path, at the committed baseline's headline config and as the
+median of ``ENGINE_RUNS`` unprofiled runs (exactly how the full run
+measured ``after``), and fails (exit 1) when quanta/sec drops below
+``QUICK_GATE_FRACTION`` of the committed baseline's
+``after.quanta_per_sec``, when cold sweep throughput at
 jobs=2 drops below ``SWEEP_GATE_FRACTION`` of the committed ladder's
 matching rung, when fused steady-state quanta/sec drops below
 ``FUSION_GATE_FRACTION`` of the committed fusion section, when the
@@ -144,6 +149,11 @@ from repro.workloads.compile import (  # noqa: E402
 #: regressions)
 QUICK_GATE_FRACTION = 0.7
 
+#: unprofiled runs behind each side of the quanta/sec gate: the full
+#: run's ``after`` block and the --quick measurement are both the
+#: median of this many runs of the same config
+ENGINE_RUNS = 5
+
 #: --quick sweep-throughput floor: cells/sec at jobs=2 must stay above
 #: this fraction of the committed ladder's jobs=2 rung.  Looser than
 #: the quanta/sec gate because pool spin-up adds fixed overhead that a
@@ -159,6 +169,10 @@ FUSION_GATE_FRACTION = 0.5
 #: --quick floor on the fused-vs-per-quantum speedup at the fusion
 #: config: fusion must actually pay for itself on steady-state work.
 FUSION_SPEEDUP_FLOOR = 1.2
+
+#: interleaved (fused, per-quantum) run pairs behind the fusion
+#: speedup, which is the median of the per-pair ratios
+FUSION_PAIRS = 9
 
 #: steady-state config for the fusion section: Memtis on stationary
 #: pmbench reaches a stable classification quickly, after which most
@@ -362,6 +376,33 @@ def time_engine(setup, policy_name, workload_kwargs, fast_path, profile):
         "throughput_per_sec": result.throughput_per_sec,
         "fmar": result.fmar,
         "profile": result.profile,
+    }
+
+
+def time_engine_median(setup, policy_name, workload_kwargs):
+    """Median of ``ENGINE_RUNS`` unprofiled default-engine runs of one
+    config: ``{wall_sec, quanta, quanta_per_sec}`` of the median run,
+    plus every run's quanta/sec.
+
+    Both sides of the --quick quanta/sec gate come from here, at the
+    same config and duration, so the gate compares like with like.
+    """
+    runs = sorted(
+        (
+            time_engine(
+                setup, policy_name, workload_kwargs,
+                fast_path=True, profile=False,
+            )
+            for _ in range(ENGINE_RUNS)
+        ),
+        key=lambda run: run["quanta_per_sec"],
+    )
+    median = runs[len(runs) // 2]
+    return {
+        "wall_sec": median["wall_sec"],
+        "quanta": median["quanta"],
+        "quanta_per_sec": median["quanta_per_sec"],
+        "runs_quanta_per_sec": [run["quanta_per_sec"] for run in runs],
     }
 
 
@@ -610,44 +651,82 @@ def merge_stale_sections(payload, skipped, baseline_path, allow_stale):
     return True
 
 
-def time_fusion(duration_ns, best_of=1):
+def interleaved_pairs(prepare_a, prepare_b, pairs, clock=time.process_time):
+    """Time ``pairs`` runs of two configs, interleaved pair by pair.
+
+    ``prepare_x()`` builds one run and returns a zero-argument callable
+    that executes it; only that call is timed, on ``clock``.  Pair ``i``
+    runs ``a`` first when ``i`` is even and ``b`` first otherwise, so a
+    host that drifts in speed slows both members of a pair alike and
+    neither side always runs in the slower half.  Returns the per-run
+    seconds of each side and each side's last result.
+    """
+    seconds = ([], [])
+    results = [None, None]
+    prepares = (prepare_a, prepare_b)
+    for pair in range(pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            run = prepares[side]()
+            start = clock()
+            results[side] = run()
+            seconds[side].append(clock() - start)
+    return seconds[0], seconds[1], results[0], results[1]
+
+
+def pair_speedups(seconds_fast, seconds_slow, work_fast, work_slow):
+    """Per-pair speedups: the fast run's work rate over its pair
+    partner's.  Their median is the section's speedup -- one stalled
+    run moves one pair, not the estimate."""
+    return [
+        (work_fast / fast) / (work_slow / slow)
+        for fast, slow in zip(seconds_fast, seconds_slow)
+    ]
+
+
+def _fusion_run(duration_ns, fusion):
+    """Build one run of the fusion config; return the call that runs
+    it."""
+    setup = StandardSetup(duration_ns=duration_ns)
+    policy = setup.build_policy(FUSION_POLICY)
+    processes = build_fleet(
+        setup, "pmbench",
+        n_procs=FUSION_PROCS, pages_per_proc=FUSION_PAGES,
+    )
+    config = setup.run_config(fusion=fusion)
+    return lambda: run_experiment(processes, policy, config)
+
+
+def time_fusion(duration_ns):
     """Fused vs per-quantum stepping on the steady-state fusion config.
 
     Both runs share (policy, workload, seed); they differ only in the
     engine's ``fusion`` switch, so the quanta/sec gap is the cost of
     stepping every quantum through a steady-state stretch the fused
-    engine crosses in one macro-quantum.  The simulation is
-    deterministic per mode -- only wall time varies between repeats --
-    so ``best_of > 1`` keeps each mode's fastest pass, which is the
-    least-noise estimate on a loaded runner.
+    engine crosses in one macro-quantum.  Each run is short (about
+    100 quanta in --quick), so two blocks of runs would let host-speed
+    drift between the blocks decide the ratio; the runs go in
+    ``FUSION_PAIRS`` interleaved pairs on the process CPU clock instead
+    (:func:`interleaved_pairs`), and the speedup is the median of the
+    per-pair ratios.  Each mode's quanta/sec is its median run's.
     """
+    seconds_fused, seconds_pq, fused, per_quantum = interleaved_pairs(
+        lambda: _fusion_run(duration_ns, True),
+        lambda: _fusion_run(duration_ns, False),
+        FUSION_PAIRS,
+    )
     runs = {}
-    for fusion in (True, False):
-        best = None
-        for _ in range(max(1, best_of)):
-            setup = StandardSetup(duration_ns=duration_ns)
-            policy = setup.build_policy(FUSION_POLICY)
-            processes = build_fleet(
-                setup, "pmbench",
-                n_procs=FUSION_PROCS, pages_per_proc=FUSION_PAGES,
-            )
-            start = time.perf_counter()
-            result = run_experiment(
-                processes, policy, setup.run_config(fusion=fusion)
-            )
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, result)
-        wall, result = best
+    for key, seconds, result in (
+        ("fused", seconds_fused, fused),
+        ("per_quantum", seconds_pq, per_quantum),
+    ):
         engine = result.engine
-        runs["fused" if fusion else "per_quantum"] = {
-            "wall_sec": wall,
+        cpu = float(np.median(seconds))
+        runs[key] = {
+            "cpu_sec": cpu,
             "quanta": engine.quanta_run,
             "steps": engine.steps_run,
             "fused_quanta": engine.fused_quanta,
-            "quanta_per_sec": (
-                engine.quanta_run / wall if wall else 0.0
-            ),
+            "quanta_per_sec": engine.quanta_run / cpu if cpu else 0.0,
             "fusion_ratio": (
                 engine.fused_quanta / engine.quanta_run
                 if engine.quanta_run else 0.0
@@ -655,7 +734,10 @@ def time_fusion(duration_ns, best_of=1):
             "throughput_per_sec": result.throughput_per_sec,
             "fmar": result.fmar,
         }
-    per_quantum_qps = runs["per_quantum"]["quanta_per_sec"]
+    speedups = pair_speedups(
+        seconds_fused, seconds_pq,
+        fused.engine.quanta_run, per_quantum.engine.quanta_run,
+    )
     return {
         "config": {
             "policy": FUSION_POLICY,
@@ -663,13 +745,13 @@ def time_fusion(duration_ns, best_of=1):
             "n_procs": FUSION_PROCS,
             "pages_per_proc": FUSION_PAGES,
             "duration_sec": duration_ns / SECOND,
+            "pairs": FUSION_PAIRS,
+            "timing": "run_experiment only, process CPU time",
         },
         "fused": runs["fused"],
         "per_quantum": runs["per_quantum"],
-        "speedup": (
-            runs["fused"]["quanta_per_sec"] / per_quantum_qps
-            if per_quantum_qps else 0.0
-        ),
+        "pair_speedups": speedups,
+        "speedup": float(np.median(speedups)),
     }
 
 
@@ -1461,11 +1543,10 @@ def run_quick_fusion_gate(baseline, duration_ns):
         pass
     print(
         f"  fusion gate: {FUSION_POLICY}, pmbench x{FUSION_PROCS}, "
-        f"{duration_ns / SECOND:.0f}s simulated, best of 3"
+        f"{duration_ns / SECOND:.0f}s simulated, median of "
+        f"{FUSION_PAIRS} interleaved pairs"
     )
-    # Best-of-3: the speedup is a ratio of two wall timings, so a
-    # single noisy pass on a loaded 1-core runner can flip the gate.
-    section = time_fusion(duration_ns, best_of=3)
+    section = time_fusion(duration_ns)
     print_fusion(section)
     section["baseline_fused_quanta_per_sec"] = committed
     section["gate_fraction"] = FUSION_GATE_FRACTION
@@ -1497,6 +1578,29 @@ def run_quick_fusion_gate(baseline, duration_ns):
     return section, ok
 
 
+def quick_engine_config(baseline, args) -> dict:
+    """The headline config the quanta/sec gate times: the committed
+    baseline's (policy, fleet, duration), so both sides of the gate
+    measure the same runs; the command line's without a baseline."""
+    try:
+        config = baseline["config"]
+        return {
+            "policy": str(config["policy"]),
+            "workload": "pmbench",
+            "n_procs": int(config["n_procs"]),
+            "pages_per_proc": int(config["pages_per_proc"]),
+            "duration_sec": float(config["duration_sec"]),
+        }
+    except (KeyError, ValueError, TypeError):
+        return {
+            "policy": args.policy,
+            "workload": "pmbench",
+            "n_procs": args.procs,
+            "pages_per_proc": args.pages,
+            "duration_sec": args.duration,
+        }
+
+
 def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
     """CI perf smoke: optimized path only, gated on the committed JSON."""
     baseline = None
@@ -1507,16 +1611,20 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
     except (OSError, KeyError, ValueError, TypeError):
         print(f"  no usable baseline at {baseline_path}; gate skipped")
 
-    duration_ns = int(args.duration * SECOND)
-    setup = StandardSetup(duration_ns=duration_ns)
-    workload_kwargs = dict(n_procs=args.procs, pages_per_proc=args.pages)
-    print(
-        f"quick gate: {args.policy}, pmbench x{args.procs}, "
-        f"{args.duration:.0f}s simulated"
+    config = quick_engine_config(baseline, args)
+    setup = StandardSetup(
+        duration_ns=int(config["duration_sec"] * SECOND)
     )
-    optimized = time_engine(
-        setup, args.policy, workload_kwargs,
-        fast_path=True, profile=False,
+    workload_kwargs = dict(
+        n_procs=config["n_procs"], pages_per_proc=config["pages_per_proc"]
+    )
+    print(
+        f"quick gate: {config['policy']}, pmbench x{config['n_procs']}, "
+        f"{config['duration_sec']:.0f}s simulated, median of "
+        f"{ENGINE_RUNS} runs"
+    )
+    optimized = time_engine_median(
+        setup, config["policy"], workload_kwargs
     )
     measured = optimized["quanta_per_sec"]
     print(f"  measured: {measured:8.1f} quanta/sec")
@@ -1539,7 +1647,7 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
 
     sweep_section, sweep_ok = run_quick_sweep_gate(baseline)
     fusion_section, fusion_ok = run_quick_fusion_gate(
-        baseline, duration_ns
+        baseline, int(args.duration * SECOND)
     )
     arena_section, arena_ok = run_quick_arena_gate(baseline)
     trace_section, trace_ok = run_quick_trace_gate(baseline)
@@ -1561,18 +1669,9 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
         )
 
     payload = {
-        "config": {
-            "policy": args.policy,
-            "workload": "pmbench",
-            "n_procs": args.procs,
-            "pages_per_proc": args.pages,
-            "duration_sec": args.duration,
-        },
+        "config": config,
         "provenance": this_host,
-        "after": {
-            k: optimized[k]
-            for k in ("wall_sec", "quanta", "quanta_per_sec")
-        },
+        "after": optimized,
         "baseline_quanta_per_sec": committed,
         "gate_fraction": QUICK_GATE_FRACTION,
         "sweep_gate": sweep_section,
@@ -1594,8 +1693,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--duration", type=float, default=None,
         help=(
-            "simulated seconds per run "
-            "(default: 20, or 5 with --quick)"
+            "simulated seconds per run (default: 20, or 5 with "
+            "--quick, where it sets the fusion gate's runs; the "
+            "quanta/sec gate runs the baseline's config)"
         ),
     )
     parser.add_argument(
@@ -1688,13 +1788,17 @@ def main(argv=None) -> int:
         f"  before (per-page path): {naive['quanta_per_sec']:8.1f} "
         f"quanta/sec  ({naive['wall_sec']:.2f}s wall)"
     )
-    optimized = time_engine(
-        setup, args.policy, workload_kwargs,
-        fast_path=True, profile=True,
-    )
+    optimized = time_engine_median(setup, args.policy, workload_kwargs)
     print(
         f"  after  (cached masses): {optimized['quanta_per_sec']:8.1f} "
-        f"quanta/sec  ({optimized['wall_sec']:.2f}s wall)"
+        f"quanta/sec  ({optimized['wall_sec']:.2f}s wall, median of "
+        f"{ENGINE_RUNS})"
+    )
+    # The profile comes from a run of its own: the Profiler's
+    # instrumentation stays out of the gated quanta/sec.
+    profiled = time_engine(
+        setup, args.policy, workload_kwargs,
+        fast_path=True, profile=True,
     )
     speedup = (
         optimized["quanta_per_sec"] / naive["quanta_per_sec"]
@@ -1764,10 +1868,7 @@ def main(argv=None) -> int:
             k: naive[k]
             for k in ("wall_sec", "quanta", "quanta_per_sec")
         },
-        "after": {
-            k: optimized[k]
-            for k in ("wall_sec", "quanta", "quanta_per_sec")
-        },
+        "after": optimized,
         "speedup": speedup,
         "sweep": sweep,
         "warm_vs_cold": warm_vs_cold,
@@ -1776,7 +1877,7 @@ def main(argv=None) -> int:
         "arena": arena,
         "trace": trace,
         "scaling": scaling,
-        "profile": optimized["profile"],
+        "profile": profiled["profile"],
     }
     if not merge_stale_sections(
         payload, skipped, pathlib.Path(args.baseline), args.allow_stale

@@ -11,7 +11,8 @@ real (host) wall time of a run across the simulator's subsystems:
 ``fault``            hint-fault delivery and bookkeeping
 ``migrate``          the migration engine (frame accounting, cost
                      charging)
-``scan``             Ticking/NUMA-balancing scan passes
+``scan_pass``        Ticking/NUMA-balancing scan passes (one fleet
+                     pass over every scan event due at a boundary)
 ``aging``            LRU reference-bit aging passes
 ``accounting``       deferred ground-truth ledger flushes (the
                      O(pages) materialisation of ``access_count`` /

@@ -228,25 +228,12 @@ class Kernel:
             for index in order
             if not self.processes[int(index)].finished
         ]
-        # Batched fleet pass: one concatenated candidate mask + one RNG
-        # draw instead of a per-process loop of tiny numpy calls.  The
-        # per-process draws and state updates are bit-identical to the
-        # sequential pass (see ``LruLists.age_fleet``); the ``on_lru_age``
-        # hooks fire afterwards in the same visiting order, which is
-        # exactly equivalent as long as a hook does not mutate *another*
-        # process's aging inputs or the shared ``kernel.lru`` RNG stream
-        # (true of every registered policy).  A policy that needs the
-        # strict age-then-hook interleaving can opt out by setting
-        # ``batched_transients = False``.
-        batched = getattr(self.policy, "batched_transients", True)
-        if batched:
-            touched_list = self.lru.age_fleet(visit, now_ns)
+        # One fleet pass ages every live process (``LruLists.age_fleet``);
+        # the ``on_lru_age`` hooks then fire in the same visiting order,
+        # under the transient-hook contract of ``TieringPolicy``.
+        touched_list = self.lru.age_fleet(visit, now_ns)
         obs = self.obs
-        for pos, process in enumerate(visit):
-            if batched:
-                touched = touched_list[pos]
-            else:
-                touched = self.lru.age_process(process, now_ns)
+        for process, touched in zip(visit, touched_list):
             if obs is not None:
                 obs.inc("aging.passes")
                 obs.emit(

@@ -19,11 +19,17 @@ Aging passes run from hard scheduler events, which bound the quantum-fusion
 horizon: a fused macro-quantum never spans an aging tick, and the ``lam``
 folded over a fused window equals the per-quantum sum (Poisson merging), so
 touch probabilities are identical either way.
+
+Aging and victim selection each have one implementation, a pass over the
+whole fleet's concatenated page arrays (:meth:`LruLists.age_fleet`,
+:meth:`LruLists.coldest_pages_two_phase`); ``age_process`` is
+``age_fleet`` over one process.  The per-process loops these passes
+replaced are kept as the test oracle in ``tests/transient_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +55,6 @@ class LruLists:
         self.fine_grained = bool(fine_grained)
         self._miss_counts: dict = {}
         self._last_age_ns: dict = {}
-        # Preallocated per-process scratch: (uniform draws, touch
-        # probabilities).  Aging runs every period for every process, so
-        # reusing these avoids two O(pages) allocations per pass.
-        self._scratch: dict = {}
 
     def _misses(self, process: SimProcess) -> np.ndarray:
         if process.pid not in self._miss_counts:
@@ -62,187 +64,95 @@ class LruLists:
         return self._miss_counts[process.pid]
 
     def age_process(self, process: SimProcess, now_ns: int) -> np.ndarray:
-        """Run one aging pass over a process; return the touched mask.
-
-        Consumes the window access accumulator and the PTE accessed bits
-        (both are cleared), stamps generations, and updates active/inactive
-        membership with second-chance hysteresis.
-
-        In the default coarse mode every touched page gets the same
-        generation stamp: reference bits carry one bit of information per
-        window, so pages referenced in the same window are
-        indistinguishable -- the measurement ceiling the paper's Section
-        2.3 attributes to hardware-bit methods.
-
-        The expensive part of the pass (uniform draws, ``-expm1(-lam)``)
-        runs sparsely over the *candidate set*: pages with nonzero window
-        counts, a set accessed bit, or active-list membership.  A page
-        outside that set has touch probability exactly zero and is already
-        inactive, so it cannot change state -- skipping it is behaviour
-        preserving, except that its (unobservable) miss counter stops
-        advancing: a cold page later activated by a migration needs
-        ``DEACTIVATE_AFTER`` observed misses before deactivating instead
-        of inheriting misses accumulated while it was off-list.  When the
-        candidate set covers every page (stationary workloads with
-        full-support distributions) the pass is the dense original,
-        including its RNG stream.
-        """
-        pages = process.pages
-        window = max(now_ns - self._last_age_ns.get(process.pid, 0), 1)
-        self._last_age_ns[process.pid] = now_ns
-        lam = pages.last_window_count
-        n_pages = pages.n_pages
-        candidates = lam > 0.0
-        candidates |= pages.accessed
-        candidates |= pages.lru_active
-        idx = np.flatnonzero(candidates)
-        misses = self._misses(process)
-
-        if idx.size == n_pages:
-            # Dense pass, bitwise identical to the historical full scan.
-            scratch = self._scratch.get(process.pid)
-            if scratch is None:
-                scratch = (
-                    np.empty(n_pages, dtype=np.float64),
-                    np.empty(n_pages, dtype=np.float64),
-                )
-                self._scratch[process.pid] = scratch
-            draws, prob = scratch
-            # ``1 - exp(-lam)`` computed in place; the RNG stream is
-            # identical to a fresh ``random(n)`` call (same generator,
-            # same draw count).
-            self._rng.random(out=draws)
-            np.negative(lam, out=prob)
-            np.expm1(prob, out=prob)
-            np.negative(prob, out=prob)
-            touched = draws < prob
-            touched |= pages.accessed
-
-            misses[touched] = 0
-            misses[~touched] += 1
-
-            if self.fine_grained:
-                rates = np.maximum(lam[touched], 1.0) / window
-                back_gaps = self._rng.exponential(1.0 / rates)
-                back_gaps = np.minimum(back_gaps, window - 1).astype(
-                    np.int64
-                )
-                pages.lru_gen[touched] = now_ns - back_gaps
-            else:
-                pages.lru_gen[touched] = now_ns
-            pages.lru_active[touched] = True
-            pages.lru_active[misses >= self.DEACTIVATE_AFTER] = False
-
-            pages.accessed[:] = False
-            pages.clear_window_counts()
-            return touched
-
-        # Sparse pass over the candidate subset.
-        lam_sub = lam[idx]
-        prob_sub = -np.expm1(-lam_sub)
-        touched_sub = self._rng.random(idx.size) < prob_sub
-        touched_sub |= pages.accessed[idx]
-        touched_idx = idx[touched_sub]
-        missed_idx = idx[~touched_sub]
-
-        misses[touched_idx] = 0
-        misses[missed_idx] += 1
-
-        if self.fine_grained:
-            rates = np.maximum(lam_sub[touched_sub], 1.0) / window
-            back_gaps = self._rng.exponential(1.0 / rates)
-            back_gaps = np.minimum(back_gaps, window - 1).astype(np.int64)
-            pages.lru_gen[touched_idx] = now_ns - back_gaps
-        else:
-            pages.lru_gen[touched_idx] = now_ns
-        pages.lru_active[touched_idx] = True
-        deactivate = missed_idx[
-            misses[missed_idx] >= self.DEACTIVATE_AFTER
-        ]
-        pages.lru_active[deactivate] = False
-
-        # Accessed bits and nonzero window counts live inside the
-        # candidate set by construction, so sparse resets are complete.
-        pages.accessed[idx] = False
-        pages.clear_window_counts(idx)
-        touched = np.zeros(n_pages, dtype=bool)
-        touched[touched_idx] = True
-        return touched
+        """One aging pass over one process: ``age_fleet([process])``."""
+        return self.age_fleet([process], now_ns)[0]
 
     def age_fleet(
         self, processes: Sequence[SimProcess], now_ns: int
     ) -> List[np.ndarray]:
         """One aging pass over several processes in the given order.
 
-        Per process this is bit-identical to calling :meth:`age_process`
-        in sequence: the dense path draws exactly ``n_pages`` uniforms
-        only when *every* page is a candidate, so the concatenated
-        candidate layout reproduces each process's draw count, and one
-        ``random(total)`` call split in visiting order yields the same
-        values the sequential calls would (the generator's stream does
-        not depend on the call granularity).  Candidate computation
-        consumes no RNG, so hoisting it before the single draw is
-        stream-preserving.
+        Consumes each process's window access accumulator and PTE
+        accessed bits (both are cleared), stamps generations, and
+        updates active/inactive membership with second-chance
+        hysteresis.  Returns the per-process touched masks, in order.
 
-        The batched pass touches every per-process array once for
-        gather and once for scatter; the O(processes) Python loop of
-        small numpy calls collapses to one concatenated mask +
-        ``flatnonzero`` + ``expm1`` + compare.
+        In the default coarse mode every touched page gets the same
+        generation stamp: reference bits carry one bit of information
+        per window, so pages referenced in the same window are
+        indistinguishable -- the measurement ceiling the paper's Section
+        2.3 attributes to hardware-bit methods.
 
-        ``fine_grained`` mode interleaves exponential draws with the
-        uniforms per process and falls back to the sequential loop.
-        Returns the per-process touched masks, in order.
+        The pass runs over the fleet's *candidate set*: pages with
+        nonzero window counts, a set accessed bit, or active-list
+        membership.  A page outside that set has touch probability
+        exactly zero and is already inactive, so it cannot change state
+        -- skipping it is behaviour preserving, except that its
+        (unobservable) miss counter stops advancing: a cold page later
+        activated by a migration needs ``DEACTIVATE_AFTER`` observed
+        misses before deactivating instead of inheriting misses
+        accumulated while it was off-list.
+
+        The candidate masks are concatenated in visiting order and one
+        ``random(candidates)`` call draws every uniform; per-process
+        slices equal what per-process draws would give (the
+        generator's stream does not depend on the call granularity).
+        ``fine_grained`` mode follows each process's uniforms with its
+        exponential draws, so it draws one process at a time.
         """
         processes = list(processes)
-        if self.fine_grained or len(processes) <= 1:
-            return [self.age_process(p, now_ns) for p in processes]
-
         n = len(processes)
-        sizes = np.empty(n, dtype=np.int64)
-        lams = []
-        accessed = []
-        active = []
-        for i, process in enumerate(processes):
-            pages = process.pages
-            self._last_age_ns[process.pid] = now_ns
-            sizes[i] = pages.n_pages
-            lams.append(pages.last_window_count)
-            accessed.append(pages.accessed)
-            active.append(pages.lru_active)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-
-        lam_cat = np.concatenate(lams)
-        acc_cat = np.concatenate(accessed)
+        if n == 0:
+            return []
+        starts = self._fleet_starts(processes)
+        lam_cat = np.concatenate(
+            [p.pages.last_window_count for p in processes]
+        )
+        acc_cat = np.concatenate([p.pages.accessed for p in processes])
         cand = lam_cat > 0.0
         cand |= acc_cat
-        cand |= np.concatenate(active)
+        cand |= np.concatenate([p.pages.lru_active for p in processes])
 
         global_idx = np.flatnonzero(cand)
         owner = np.searchsorted(starts, global_idx, side="right") - 1
         bounds = np.searchsorted(owner, np.arange(n + 1, dtype=np.int64))
 
-        # One draw for the whole fleet; per-process slices match the
-        # sequential streams (dense processes are all-candidates, so
-        # their slice length is n_pages exactly as the dense path draws).
-        draws = self._rng.random(global_idx.size)
-        prob = np.expm1(-lam_cat[global_idx])
+        lam_g = lam_cat[global_idx]
+        prob = np.expm1(-lam_g)
         np.negative(prob, out=prob)
-        touched_g = draws < prob
-        touched_g |= acc_cat[global_idx]
+        acc_g = acc_cat[global_idx]
+        if not self.fine_grained:
+            touched_g = self._rng.random(global_idx.size) < prob
+            touched_g |= acc_g
 
         results: List[np.ndarray] = []
         for i, process in enumerate(processes):
             pages = process.pages
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             idx = global_idx[lo:hi] - starts[i]
-            touched_sub = touched_g[lo:hi]
+            if self.fine_grained:
+                touched_sub = self._rng.random(hi - lo) < prob[lo:hi]
+                touched_sub |= acc_g[lo:hi]
+            else:
+                touched_sub = touched_g[lo:hi]
             touched_idx = idx[touched_sub]
             missed_idx = idx[~touched_sub]
             misses = self._misses(process)
             misses[touched_idx] = 0
             misses[missed_idx] += 1
-            pages.lru_gen[touched_idx] = now_ns
+            if self.fine_grained:
+                window = max(
+                    now_ns - self._last_age_ns.get(process.pid, 0), 1
+                )
+                rates = np.maximum(lam_g[lo:hi][touched_sub], 1.0) / window
+                back_gaps = self._rng.exponential(1.0 / rates)
+                back_gaps = np.minimum(back_gaps, window - 1).astype(
+                    np.int64
+                )
+                pages.lru_gen[touched_idx] = now_ns - back_gaps
+            else:
+                pages.lru_gen[touched_idx] = now_ns
+            self._last_age_ns[process.pid] = now_ns
             pages.lru_active[touched_idx] = True
             deactivate = missed_idx[
                 misses[missed_idx] >= self.DEACTIVATE_AFTER
@@ -259,44 +169,6 @@ class LruLists:
             results.append(touched)
         return results
 
-    def coldest_pages(
-        self,
-        processes: Sequence[SimProcess],
-        tier_id: int,
-        n_pages: int,
-        inactive_only: bool = True,
-    ) -> List[Tuple[SimProcess, np.ndarray]]:
-        """Select up to ``n_pages`` coldest pages resident in ``tier_id``.
-
-        Pages are ranked by ascending generation (oldest reference first),
-        restricted to the inactive list unless ``inactive_only`` is False --
-        matching how kswapd scans the inactive list before touching active
-        pages.  Returns per-process vpn arrays.
-        """
-        if n_pages <= 0:
-            return []
-        # One fleet-wide candidate pass over the concatenated per-process
-        # arrays instead of a Python loop of tiny numpy calls: the
-        # concatenated order (process index ascending, vpn ascending
-        # within a process) is exactly the order the sequential reference
-        # built, so every downstream step -- the tie-break shuffle, the
-        # partial sort, the per-owner split -- sees identical inputs and
-        # the selection is bit-identical.
-        tier = np.concatenate([p.pages.tier for p in processes])
-        if tier.size == 0:
-            return []
-        mask = tier == tier_id
-        if inactive_only:
-            active = np.concatenate(
-                [p.pages.lru_active for p in processes]
-            )
-            mask &= ~active
-        gens = np.concatenate([p.pages.lru_gen for p in processes])
-        starts = self._fleet_starts(processes)
-        return self._select_coldest(
-            processes, mask, gens, starts, n_pages
-        )
-
     def coldest_pages_two_phase(
         self,
         processes: Sequence[SimProcess],
@@ -308,13 +180,15 @@ class LruLists:
     ]:
         """Inactive-first victim selection with an active-list fallback.
 
-        Equivalent -- including RNG stream consumption -- to
-        ``coldest_pages(..., inactive_only=True)`` followed, on a
-        shortfall, by ``coldest_pages(..., inactive_only=False)`` for
-        the remainder, but the concatenated fleet arrays are built once
-        and shared by both phases.  Returns ``(inactive, fallback)``
-        per-process victim lists; ``fallback`` is empty when the
-        inactive list satisfied the request.
+        Pages resident in ``tier_id`` are ranked by ascending generation
+        (oldest reference first).  The first phase takes up to
+        ``n_pages`` from the inactive list, as kswapd scans it before
+        touching active pages; on a shortfall the second phase takes
+        the remainder from the whole tier.  The concatenated fleet
+        arrays are built once and shared by both phases, each phase
+        consuming one shuffle from the RNG.  Returns ``(inactive,
+        fallback)`` per-process victim lists; ``fallback`` is empty
+        when the inactive list satisfied the request.
         """
         if n_pages <= 0:
             return [], []
@@ -358,7 +232,7 @@ class LruLists:
         n_pages: int,
     ) -> List[Tuple[SimProcess, np.ndarray]]:
         """Rank the masked candidates by generation and split per owner
-        (the shared tail of :meth:`coldest_pages`)."""
+        (one phase of :meth:`coldest_pages_two_phase`)."""
         global_idx = np.flatnonzero(mask)
         if global_idx.size == 0:
             return []
@@ -399,15 +273,3 @@ class LruLists:
             )
             lo = int(hi)
         return selected
-
-    def inactive_count(
-        self, processes: Iterable[SimProcess], tier_id: int
-    ) -> int:
-        """Number of inactive pages resident in ``tier_id``."""
-        total = 0
-        for process in processes:
-            pages = process.pages
-            total += int(
-                np.count_nonzero((pages.tier == tier_id) & ~pages.lru_active)
-            )
-        return total

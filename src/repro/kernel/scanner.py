@@ -14,6 +14,12 @@ Scan events are *hard* scheduler events: they bound the quantum-fusion
 horizon (``EventScheduler.next_event_ns``), so under fusion each scan step
 fires at exactly the quantum boundary per-quantum stepping would have used
 -- the PROT_NONE marking sequence is unchanged.
+
+Every scan event runs through one implementation: the first event due at
+a clock boundary drains its due siblings and scans them all in one fleet
+pass (:meth:`TickingScanner.scan_fleet`); ``scan_once`` is the same pass
+over one process.  The per-event loop it replaced is kept as the test
+oracle in ``tests/transient_oracle.py``.
 """
 
 from __future__ import annotations
@@ -89,63 +95,70 @@ class TickingScanner:
         # The first scan event firing at a clock boundary drains its due
         # siblings (other processes' scan events that the same
         # ``run_due`` would fire next, all sharing the same effective
-        # time) and runs them as one fleet pass.  With a single entry --
-        # always the case for single-process runs -- this is exactly the
-        # sequential path.
+        # time) and runs them as one fleet pass.
         entries = [(process, now_ns)]
-        if getattr(self.kernel.policy, "batched_transients", True):
-            siblings = self.kernel.scheduler.take_due(
-                self.kernel.clock.now, "ticking-scan:"
-            )
-            if siblings:
-                by_pid = {p.pid: p for p in self.kernel.processes}
-                for event in siblings:
-                    proc = by_pid.get(int(event.name.rsplit(":", 1)[1]))
-                    if proc is not None:
-                        entries.append((proc, event.when_ns))
-        if len(entries) == 1:
-            if process.finished:
-                return
-            # Stamp protections with the *effective* time (the clock,
-            # already advanced to the engine boundary), but keep the
-            # drift-free cadence by rescheduling from the nominal expiry.
-            self.scan_once(process, self.kernel.clock.now)
-            self._schedule(process, now_ns + self.interval_ns(process))
-            return
+        siblings = self.kernel.scheduler.take_due(
+            self.kernel.clock.now, "ticking-scan:"
+        )
+        if siblings:
+            by_pid = {p.pid: p for p in self.kernel.processes}
+            for event in siblings:
+                proc = by_pid.get(int(event.name.rsplit(":", 1)[1]))
+                if proc is not None:
+                    entries.append((proc, event.when_ns))
         self.scan_fleet(entries)
 
     def scan_fleet(
         self, entries: List[Tuple["SimProcess", int]]
     ) -> None:
-        """One batched Ticking-scan pass over several due scan events.
+        """One Ticking-scan pass over several due scan events.
 
         ``entries`` holds ``(process, nominal_expiry_ns)`` pairs in
-        firing order.  Equivalent to running each entry's
-        :meth:`scan_once` in sequence: every entry stamps protections
-        with the same effective time (the advanced clock), the window
-        advance / tier filter / PROT_NONE marking is the per-process
-        code either way, and the ``on_scan`` hooks fire afterwards in
-        the same order -- exact whenever a hook only touches its own
-        process (the ``batched_transients`` contract).  The pass runs
-        under one ``scan_pass`` profiler section with one global-stats
-        and obs-counter update instead of per-event dispatch.
+        firing order.  Finished processes are dropped; every other
+        entry is scanned with protections stamped at the *effective*
+        time (the clock, already advanced to the engine boundary) and
+        rescheduled from its nominal expiry, which keeps the cadence
+        drift-free.
+        """
+        live = [
+            (process, when) for process, when in entries
+            if not process.finished
+        ]
+        self._scan([process for process, _ in live], self.kernel.clock.now)
+        for process, when in live:
+            self._schedule(process, when + self.interval_ns(process))
+
+    def scan_once(self, process: "SimProcess", now_ns: int) -> np.ndarray:
+        """Run one scan event for ``process``, stamped at ``now_ns``;
+        return its window vpns (after tier filtering)."""
+        return self._scan([process], now_ns)[0]
+
+    def _scan(
+        self, processes: List["SimProcess"], now_ns: int
+    ) -> List[np.ndarray]:
+        """Mark one scan window ``PROT_NONE`` per process, stamping
+        ``now_ns``; return the windows (after tier filtering).
+
+        Per process: advance the scan window, apply the tier filter,
+        protect, and charge the per-page PTE-walk cost.  Then one
+        global-stats and obs-counter update, and the ``on_scan`` hooks
+        in process order -- exact whenever a hook touches only its own
+        process (the transient-hook contract of
+        :class:`~repro.policies.base.TieringPolicy`).  The pass runs
+        under one ``scan_pass`` profiler section.
         """
         kernel = self.kernel
-        now_ns = kernel.clock.now
         profiler = kernel.profiler
         if profiler is not None:
             profiler.push("scan_pass")
         try:
             tier_filter = self.config.tier_filter
             scan_cost_ns = kernel.machine.spec.effective_scan_cost_ns
-            results: List[Tuple["SimProcess", np.ndarray, bool, int, int]]
-            results = []
+            results: List[Tuple["SimProcess", np.ndarray, bool, int]] = []
             total_cost = 0
             total_marked = 0
             wrapped_count = 0
-            for process, when in entries:
-                if process.finished:
-                    continue
+            for process in processes:
                 step = min(self.config.scan_step_pages, process.n_pages)
                 window, wrapped = process.aspace.next_scan_window(step)
                 if tier_filter is not None:
@@ -159,7 +172,7 @@ class TickingScanner:
                 total_marked += marked
                 if wrapped:
                     wrapped_count += 1
-                results.append((process, window, wrapped, marked, when))
+                results.append((process, window, wrapped, marked))
             kernel.stats.kernel_time_ns += total_cost
             kernel.stats.pages_scanned += total_marked
             kernel.stats.scan_passes += wrapped_count
@@ -169,7 +182,7 @@ class TickingScanner:
                 obs.inc("scan.pages_marked", total_marked)
                 if wrapped_count:
                     obs.inc("scan.passes", wrapped_count)
-                for process, window, wrapped, marked, _ in results:
+                for process, window, wrapped, marked in results:
                     obs.emit(
                         "scan.window",
                         now_ns,
@@ -183,66 +196,12 @@ class TickingScanner:
                 if profiler is not None:
                     profiler.push("policy")
                 try:
-                    for process, window, _, _, _ in results:
+                    for process, window, _, _ in results:
                         self.on_scan(process, window, now_ns)
                 finally:
                     if profiler is not None:
                         profiler.pop()
-            for process, _, _, _, when in results:
-                self._schedule(process, when + self.interval_ns(process))
+            return [window for _, window, _, _ in results]
         finally:
             if profiler is not None:
                 profiler.pop()
-
-    # ------------------------------------------------------------------
-    def scan_once(self, process: "SimProcess", now_ns: int) -> np.ndarray:
-        """Run one scan event: mark a window PROT_NONE, stamp scan times.
-
-        Returns the window vpns (after tier filtering).  Charges the
-        per-page PTE-walk cost to the process and bumps the global scan
-        counters.
-        """
-        profiler = self.kernel.profiler
-        if profiler is not None:
-            profiler.push("scan")
-        step = min(self.config.scan_step_pages, process.n_pages)
-        window, wrapped = process.aspace.next_scan_window(step)
-        if self.config.tier_filter is not None:
-            window = window[
-                process.pages.tier[window] == self.config.tier_filter
-            ]
-        marked = process.pages.protect(window, now_ns)
-
-        cost = window.size * self.kernel.machine.spec.effective_scan_cost_ns
-        process.charge_kernel(cost)
-        self.kernel.stats.kernel_time_ns += cost
-        self.kernel.stats.pages_scanned += marked
-        if wrapped:
-            self.kernel.stats.scan_passes += 1
-        obs = self.kernel.obs
-        if obs is not None:
-            obs.inc("scan.windows")
-            obs.inc("scan.pages_marked", marked)
-            if wrapped:
-                obs.inc("scan.passes")
-            obs.emit(
-                "scan.window",
-                now_ns,
-                pid=process.pid,
-                n_window=int(window.size),
-                n_marked=int(marked),
-                wrapped=bool(wrapped),
-                vpns=window,
-            )
-
-        if self.on_scan is not None:
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                self.on_scan(process, window, now_ns)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-        if profiler is not None:
-            profiler.pop()
-        return window

@@ -88,20 +88,19 @@ class TieringPolicy(ABC):
     one that tolerates fusion only up to some window sets
     ``max_fusion_quanta`` instead of disabling it.
 
-    Batched-transients contract: the kernel runs its transient windows
+    Transient-hook contract: the kernel runs its transient windows
     (Ticking-scan passes, LRU aging, reclaim victim selection, migration
     batches) as *fleet-wide* array programs -- one pass over all
     processes, with per-process policy hooks (``on_scan``,
-    ``on_lru_age``) fired afterwards in the same visiting order the
-    sequential loop would have used.  That is exactly equivalent as
-    long as a hook does not mutate another process's pass inputs
-    (window counters, accessed bits, LRU state, protection state) or
-    consume from a shared kernel RNG stream -- true of every registered
-    policy, whose hooks only touch the hooked process's pages and
-    per-process RNG.  A policy that needs the strict
-    pass-then-hook-per-process interleaving sets
-    ``batched_transients = False`` and the kernel falls back to the
-    sequential loops.
+    ``on_lru_age``) fired afterwards in the same visiting order a
+    per-process loop would use.  That is exactly equivalent as long as
+    a hook touches only its own process (its window counters, accessed
+    bits, LRU state, protection state) and draws from no shared kernel
+    RNG stream -- true of every registered policy, whose hooks only
+    touch the hooked process's pages and per-process RNG.
+    ``tests/test_batched_oracle.py::TestPolicyTransientOracle`` enforces
+    it for every registered policy against the per-process loops in
+    ``tests/transient_oracle.py``.
     """
 
     name: str = "abstract"
@@ -113,11 +112,6 @@ class TieringPolicy(ABC):
     #: Optional cap on quanta merged into one macro-quantum
     #: (``None`` = bounded only by the event horizon).
     max_fusion_quanta: Optional[int] = None
-
-    #: False opts out of fleet-wide batched transient passes (scan,
-    #: aging); the kernel then runs the per-process sequential loops so
-    #: hooks interleave with the passes exactly.
-    batched_transients: bool = True
 
     def __init__(self) -> None:
         """Create the policy unattached (see :meth:`attach`)."""

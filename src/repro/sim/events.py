@@ -142,8 +142,8 @@ class EventScheduler:
         boundary share the same effective time (the advanced clock), so
         reordering them relative to other due events is observable only
         through cross-subsystem state -- acceptable exactly when the
-        subsystems' per-boundary work commutes (see the
-        ``batched_transients`` policy contract).
+        subsystems' per-boundary work commutes (see the transient-hook
+        contract of :class:`~repro.policies.base.TieringPolicy`).
         """
         taken: List[ScheduledEvent] = []
         kept: List[ScheduledEvent] = []

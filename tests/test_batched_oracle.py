@@ -1,23 +1,25 @@
-"""Oracle equivalence for every batched transient subsystem.
+"""Oracle equivalence for every kernel transient pass.
 
-The engine keeps its batched fast path through scan, aging, migration,
-and reclaim windows by replacing per-process loops with fleet passes:
-``TickingScanner.scan_fleet``, ``LruLists.age_fleet``,
-``LruLists.coldest_pages_two_phase``, ``MigrationEngine.migrate_many``,
-the DCSC histogram fold (``repro.core.dcsc.dcsc_fold``) and the fleet
-scan's tier filter.  Each pass claims
-*exact* equivalence with its sequential reference -- same state updates,
-same RNG stream consumption, same global stats.  These tests hold every
-claim against an oracle: twin fixtures with identical seeds run the
-batched and the sequential code, and every observable must match bit
-for bit.
+The kernel runs its scan, aging, migration, and reclaim windows as fleet
+passes: ``TickingScanner.scan_fleet``, ``LruLists.age_fleet``,
+``LruLists.coldest_pages_two_phase`` and ``MigrationEngine.migrate_many``
+(the per-process entry points ``scan_once``, ``age_process`` and
+``migrate`` are one-process calls of them), plus the DCSC histogram fold
+(``repro.core.dcsc.dcsc_fold``) and the fleet scan's tier filter.  Each
+pass claims *exact* equivalence with the per-process loop it replaced,
+kept in ``tests/transient_oracle.py`` -- same state updates, same RNG
+stream consumption, same global stats.  These tests hold every claim
+against that oracle: twin fixtures with identical seeds run the fleet
+pass and the oracle, and every observable must match bit for bit, on
+one process and on several.
 
-The end-to-end oracle runs each registered policy with
-``batched_transients`` flipped off (the sequential opt-out) and demands
-the trajectory match the batched default exactly.  The hypothesis
-suite checks the segment-offset repair invariant: concatenating
-per-process arrays and splitting selections back by owner must land
-every page in its owner's vpn space.
+The end-to-end oracle runs each registered policy with the oracle's
+loops installed in place of the fleet passes and demands the
+trajectory match the default exactly, on a contended config where
+scans mark pages in multi-process passes, aging runs, and pages
+migrate.  The hypothesis suite checks the segment-offset repair
+invariant: concatenating per-process arrays and splitting selections
+back by owner must land every page in its owner's vpn space.
 """
 
 import numpy as np
@@ -28,29 +30,17 @@ from hypothesis import strategies as st
 from repro.core.dcsc import dcsc_fold
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
+from repro.kernel.kernel import Kernel
 from repro.kernel.lru import LruLists
 from repro.kernel.reclaim import _merge_victims
-from repro.kernel.scanner import ScanConfig
-from repro.mem.tier import FAST_TIER, SLOW_TIER
+from repro.kernel.scanner import ScanConfig, TickingScanner
+from repro.mem.machine import MachineSpec, TieredMachine
+from repro.mem.tier import FAST_TIER, SLOW_TIER, dram_spec, optane_spec
+from repro.policies.registry import policy_names
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from tests import transient_oracle as oracle
 from tests.conftest import make_kernel, make_process
-
-#: every registered policy (the Table 1 roster)
-ALL_POLICIES = [
-    "linux-nb",
-    "autotiering",
-    "multiclock",
-    "telescope",
-    "tpp",
-    "memtis",
-    "flexmem",
-    "nomad",
-    "tierbpf",
-    "arms",
-    "jenga",
-    "chrono",
-]
 
 
 def twin_fleet(seed=0, n_procs=4, n_pages=96, fast=256, slow=1024):
@@ -92,46 +82,91 @@ def assert_pages_equal(left, right):
 
 
 class TestAgingOracle:
-    def test_age_fleet_matches_sequential_bitwise(self):
-        _, procs_batched = twin_fleet()
-        _, procs_seq = twin_fleet()
-        perturb(procs_batched)
-        perturb(procs_seq)
-        lru_batched = LruLists(RngStreams(7).get("lru"))
-        lru_seq = LruLists(RngStreams(7).get("lru"))
-
-        touched_batched = lru_batched.age_fleet(procs_batched, now_ns=123)
-        touched_seq = [
-            lru_seq.age_process(p, now_ns=123) for p in procs_seq
-        ]
-
-        for t_b, t_s, p_b, p_s in zip(
-            touched_batched, touched_seq, procs_batched, procs_seq
-        ):
-            np.testing.assert_array_equal(t_b, t_s)
-            assert_pages_equal(p_b, p_s)
-            np.testing.assert_array_equal(
-                lru_batched._misses(p_b), lru_seq._misses(p_s)
+    def _twins(self, n_procs=4, fine_grained=False):
+        """Twin perturbed fleets and twin LRU lists.  The first process
+        has every page a candidate (the oracle's dense pass), the others
+        only some (its sparse pass)."""
+        fleets, lrus = [], []
+        for _ in range(2):
+            _, procs = twin_fleet(n_procs=n_procs)
+            perturb(procs)
+            procs[0].pages.lru_active[:] = True
+            fleets.append(procs)
+            lrus.append(
+                LruLists(
+                    RngStreams(7).get("lru"), fine_grained=fine_grained
+                )
             )
-        # The fleet pass drew exactly the uniforms the sequential calls
+        return fleets, lrus
+
+    def _assert_aligned(self, lrus, fleets, touched=None):
+        (lru_f, lru_s), (procs_f, procs_s) = lrus, fleets
+        for index, (p_f, p_s) in enumerate(zip(procs_f, procs_s)):
+            if touched is not None:
+                np.testing.assert_array_equal(
+                    touched[0][index], touched[1][index]
+                )
+            assert_pages_equal(p_f, p_s)
+            np.testing.assert_array_equal(
+                lru_f._misses(p_f), lru_s._misses(p_s)
+            )
+        # The fleet pass drew exactly the numbers the per-process calls
         # would have: both generators sit at the same stream position.
-        assert lru_batched._rng.random() == lru_seq._rng.random()
+        assert lru_f._rng.random() == lru_s._rng.random()
+
+    def test_age_fleet_matches_sequential_bitwise(self):
+        fleets, lrus = self._twins()
+        touched_f = lrus[0].age_fleet(fleets[0], now_ns=123)
+        touched_s = [
+            oracle.age_process(lrus[1], p, now_ns=123) for p in fleets[1]
+        ]
+        self._assert_aligned(lrus, fleets, (touched_f, touched_s))
+
+    def test_one_process_matches_sequential(self):
+        """``age_process``: the fleet pass over a one-process fleet."""
+        fleets, lrus = self._twins(n_procs=1)
+        touched = lrus[0].age_process(fleets[0][0], now_ns=123)
+        reference = oracle.age_process(lrus[1], fleets[1][0], now_ns=123)
+        self._assert_aligned(lrus, fleets, ([touched], [reference]))
 
     def test_second_pass_stays_aligned(self):
         """Miss counters and stream position survive into the next pass:
         hysteresis (deactivation after two misses) agrees too."""
-        _, procs_batched = twin_fleet()
-        _, procs_seq = twin_fleet()
-        perturb(procs_batched)
-        perturb(procs_seq)
-        lru_batched = LruLists(RngStreams(7).get("lru"))
-        lru_seq = LruLists(RngStreams(7).get("lru"))
+        fleets, lrus = self._twins()
         for now_ns in (100, 200, 300):
-            lru_batched.age_fleet(procs_batched, now_ns=now_ns)
-            for process in procs_seq:
-                lru_seq.age_process(process, now_ns=now_ns)
-        for p_b, p_s in zip(procs_batched, procs_seq):
-            assert_pages_equal(p_b, p_s)
+            lrus[0].age_fleet(fleets[0], now_ns=now_ns)
+            for process in fleets[1]:
+                oracle.age_process(lrus[1], process, now_ns=now_ns)
+        self._assert_aligned(lrus, fleets)
+
+    @pytest.mark.parametrize("n_procs", [1, 4])
+    def test_fine_grained_matches_sequential(self, n_procs):
+        """Recency stamps draw each process's uniforms, then its
+        exponentials, over its own window since its last pass."""
+        fleets, lrus = self._twins(n_procs, fine_grained=True)
+        for now_ns in (1_000, 5_000):
+            touched_f = lrus[0].age_fleet(fleets[0], now_ns=now_ns)
+            touched_s = [
+                oracle.age_process(lrus[1], p, now_ns=now_ns)
+                for p in fleets[1]
+            ]
+            self._assert_aligned(lrus, fleets, (touched_f, touched_s))
+            for procs in fleets:
+                perturb(procs, seed=now_ns)
+
+    def test_empty_fleet(self):
+        lrus = [LruLists(RngStreams(7).get("lru")) for _ in range(2)]
+        assert lrus[0].age_fleet([], now_ns=10) == []
+        assert lrus[0]._rng.random() == lrus[1]._rng.random()
+
+    def test_tick_after_every_process_finished(self):
+        """The aging tick still runs, and reschedules itself, when no
+        process is left to age."""
+        kernel, procs = twin_fleet()
+        for process in procs:
+            process.finished = True
+        kernel._aging_tick(kernel.aging_period_ns)
+        assert kernel.next_event_ns() == 2 * kernel.aging_period_ns
 
 
 class TestScanPassOracle:
@@ -142,32 +177,65 @@ class TestScanPassOracle:
             kernel.stats.pages_scanned,
             kernel.stats.scan_passes,
             kernel.stats.kernel_time_ns,
+            [p.pending_kernel_ns for p in processes],
         )
 
-    def test_scan_fleet_matches_sequential_scans(self):
+    def _assert_same_state(self, kernel_f, procs_f, kernel_s, procs_s):
+        state_f = self._scan_state(kernel_f, procs_f)
+        state_s = self._scan_state(kernel_s, procs_s)
+        for arr_f, arr_s in zip(state_f[0] + state_f[1],
+                                state_s[0] + state_s[1]):
+            np.testing.assert_array_equal(arr_f, arr_s)
+        assert state_f[2:] == state_s[2:]
+
+    def _twins(self, n_procs, tier_filter=SLOW_TIER):
         config = ScanConfig(
             scan_period_ns=SECOND, scan_step_pages=32,
-            tier_filter=SLOW_TIER,
+            tier_filter=tier_filter,
         )
-        kernel_b, procs_b = twin_fleet()
-        kernel_s, procs_s = twin_fleet()
-        scanner_b = kernel_b.create_scanner(config)
-        scanner_s = kernel_s.create_scanner(config)
+        twins = []
+        for _ in range(2):
+            kernel, procs = twin_fleet(n_procs=n_procs)
+            scanner = kernel.create_scanner(config)
+            seen = []
+            scanner.on_scan = lambda process, window, now, seen=seen: (
+                seen.append((process.pid, window.copy(), now))
+            )
+            twins.append((kernel, procs, scanner, seen))
+        return twins
 
-        entries = [(process, 1_000) for process in procs_b]
-        scanner_b.scan_fleet(entries)
-        for process in procs_s:
-            scanner_s.scan_once(process, kernel_s.clock.now)
+    def _check_passes(self, n_procs):
+        (kernel_f, procs_f, scanner_f, seen_f), (
+            kernel_s, procs_s, scanner_s, seen_s
+        ) = self._twins(n_procs)
+        for _ in range(3):  # the third pass wraps the 96-page spaces
+            scanner_f.scan_fleet([(process, 1_000) for process in procs_f])
+            for process in procs_s:
+                oracle.scan_once(scanner_s, process, kernel_s.clock.now)
+        self._assert_same_state(kernel_f, procs_f, kernel_s, procs_s)
+        assert [(pid, now) for pid, _, now in seen_f] == [
+            (pid, now) for pid, _, now in seen_s
+        ]
+        for (_, window_f, _), (_, window_s, _) in zip(seen_f, seen_s):
+            np.testing.assert_array_equal(window_f, window_s)
 
-        state_b = self._scan_state(kernel_b, procs_b)
-        state_s = self._scan_state(kernel_s, procs_s)
-        for arr_b, arr_s in zip(state_b[0], state_s[0]):
-            np.testing.assert_array_equal(arr_b, arr_s)
-        for arr_b, arr_s in zip(state_b[1], state_s[1]):
-            np.testing.assert_array_equal(arr_b, arr_s)
-        assert state_b[2:] == state_s[2:]
-        for p_b, p_s in zip(procs_b, procs_s):
-            assert p_b.pending_kernel_ns == p_s.pending_kernel_ns
+    def test_scan_fleet_matches_sequential_scans(self):
+        self._check_passes(n_procs=4)
+
+    def test_one_process_matches_sequential_scans(self):
+        self._check_passes(n_procs=1)
+
+    def test_scan_once_stamps_its_argument(self):
+        """``scan_once`` is the fleet pass over one process, stamped at
+        the caller's time rather than the clock's."""
+        (kernel_f, procs_f, scanner_f, seen_f), (
+            kernel_s, procs_s, scanner_s, seen_s
+        ) = self._twins(1, tier_filter=None)
+        window_f = scanner_f.scan_once(procs_f[0], now_ns=100)
+        window_s = oracle.scan_once(scanner_s, procs_s[0], now_ns=100)
+        np.testing.assert_array_equal(window_f, window_s)
+        self._assert_same_state(kernel_f, procs_f, kernel_s, procs_s)
+        assert [now for _, _, now in seen_f] == [100]
 
     def test_scan_fleet_hook_order_is_entry_order(self):
         kernel, procs = twin_fleet()
@@ -196,9 +264,8 @@ class TestReclaimSelectionOracle:
             pages.lru_active[:] = rng.random(n) < 0.9
             pages.lru_gen[:] = rng.integers(0, 10_000, n)
 
-    @pytest.mark.parametrize("n_pages", [1, 17, 120, 10_000])
-    def test_two_phase_matches_sequential_phases(self, n_pages):
-        _, procs = twin_fleet()
+    def _check_phases(self, n_procs, n_pages):
+        _, procs = twin_fleet(n_procs=n_procs)
         self._paint(procs)
         lru_fused = LruLists(RngStreams(3).get("lru"))
         lru_seq = LruLists(RngStreams(3).get("lru"))
@@ -206,15 +273,9 @@ class TestReclaimSelectionOracle:
         first, second = lru_fused.coldest_pages_two_phase(
             procs, FAST_TIER, n_pages
         )
-        ref_first = lru_seq.coldest_pages(
-            procs, FAST_TIER, n_pages, inactive_only=True
+        ref_first, ref_second = oracle.coldest_pages_two_phase(
+            lru_seq, procs, FAST_TIER, n_pages
         )
-        selected = sum(v.size for _, v in ref_first)
-        ref_second = []
-        if selected < n_pages:
-            ref_second = lru_seq.coldest_pages(
-                procs, FAST_TIER, n_pages - selected, inactive_only=False
-            )
 
         for got, want in ((first, ref_first), (second, ref_second)):
             assert len(got) == len(want)
@@ -223,6 +284,14 @@ class TestReclaimSelectionOracle:
                 np.testing.assert_array_equal(vpns_g, vpns_w)
         # Identical RNG consumption (shuffles per phase).
         assert lru_fused._rng.random() == lru_seq._rng.random()
+
+    @pytest.mark.parametrize("n_pages", [1, 17, 120, 10_000])
+    def test_two_phase_matches_sequential_phases(self, n_pages):
+        self._check_phases(4, n_pages)
+
+    @pytest.mark.parametrize("n_pages", [1, 17, 120, 10_000])
+    def test_one_process_matches_sequential_phases(self, n_pages):
+        self._check_phases(1, n_pages)
 
     def test_no_shortfall_skips_second_phase(self):
         _, procs = twin_fleet()
@@ -260,6 +329,32 @@ class TestMigrationBatchOracle:
             stats.context_switches,
         )
 
+    def _assert_same_outcome(self, kernel_b, moved_b, kernel_s, moved_s):
+        assert len(moved_b) == len(moved_s)
+        for (proc_b, vpns_b), (proc_s, vpns_s) in zip(moved_b, moved_s):
+            assert proc_b.pid == proc_s.pid
+            np.testing.assert_array_equal(vpns_b, vpns_s)
+            for name in (
+                "tier", "lru_active", "lru_gen", "demoted",
+                "demote_ts_ns", "prot_none",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(proc_b.pages, name), getattr(proc_s.pages, name)
+                )
+            assert proc_b.pending_kernel_ns == proc_s.pending_kernel_ns
+            assert proc_b.stats.pages_promoted == proc_s.stats.pages_promoted
+            assert proc_b.stats.pages_demoted == proc_s.stats.pages_demoted
+            assert (
+                proc_b.stats.context_switches
+                == proc_s.stats.context_switches
+            )
+        for tier_b, tier_s in zip(
+            kernel_b.machine.tiers, kernel_s.machine.tiers
+        ):
+            assert tier_b.free_pages == tier_s.free_pages
+            assert tier_b._migration_bytes == tier_s._migration_bytes
+        assert self._stats_tuple(kernel_b) == self._stats_tuple(kernel_s)
+
     @pytest.mark.parametrize(
         "dst,src", [(FAST_TIER, SLOW_TIER), (SLOW_TIER, FAST_TIER)]
     )
@@ -272,59 +367,83 @@ class TestMigrationBatchOracle:
         moved_b = kernel_b.migration.migrate_many(
             self._batches(procs_b, src), dst
         )
-        moved_s = [
-            (process, kernel_s.migration.migrate(process, vpns, dst))
-            for process, vpns in self._batches(procs_s, src)
-        ]
+        moved_s = oracle.migrate_many(
+            kernel_s.migration, self._batches(procs_s, src), dst
+        )
+        self._assert_same_outcome(kernel_b, moved_b, kernel_s, moved_s)
 
-        assert len(moved_b) == len(moved_s)
-        for (proc_b, vpns_b), (proc_s, vpns_s) in zip(moved_b, moved_s):
-            assert proc_b.pid == proc_s.pid
-            np.testing.assert_array_equal(vpns_b, vpns_s)
-            np.testing.assert_array_equal(
-                proc_b.pages.tier, proc_s.pages.tier
+    @pytest.mark.parametrize(
+        "dst,src", [(FAST_TIER, SLOW_TIER), (SLOW_TIER, FAST_TIER)]
+    )
+    def test_one_process_migrate_matches_sequential(self, dst, src):
+        """``migrate`` is a one-batch ``migrate_many``: one process,
+        overflow, repeats and mark-demoted calls included."""
+        kernel_b, procs_b = twin_fleet(n_procs=1, fast=40, slow=1024)
+        kernel_s, procs_s = twin_fleet(n_procs=1, fast=40, slow=1024)
+        (proc_b,), (proc_s,) = procs_b, procs_s
+        for seed in (11, 12, 13):
+            (_, vpns), = self._batches(procs_b, src, seed=seed)
+            mark = seed == 13
+            moved_b = kernel_b.migration.migrate(proc_b, vpns, dst, mark)
+            moved_s = oracle.migrate(
+                kernel_s.migration, proc_s, vpns, dst, mark
             )
-            np.testing.assert_array_equal(
-                proc_b.pages.lru_active, proc_s.pages.lru_active
+            self._assert_same_outcome(
+                kernel_b, [(proc_b, moved_b)], kernel_s, [(proc_s, moved_s)]
             )
-            np.testing.assert_array_equal(
-                proc_b.pages.demoted, proc_s.pages.demoted
-            )
-            assert proc_b.pending_kernel_ns == proc_s.pending_kernel_ns
-            assert (
-                proc_b.stats.pages_promoted == proc_s.stats.pages_promoted
-            )
-            assert (
-                proc_b.stats.pages_demoted == proc_s.stats.pages_demoted
-            )
-        for tier_b, tier_s in zip(
-            kernel_b.machine.tiers, kernel_s.machine.tiers
-        ):
-            assert tier_b.free_pages == tier_s.free_pages
-            assert tier_b._migration_bytes == tier_s._migration_bytes
-        assert self._stats_tuple(kernel_b) == self._stats_tuple(kernel_s)
 
     def test_mark_demoted_matches(self):
         kernel_b, procs_b = twin_fleet()
         kernel_s, procs_s = twin_fleet()
-        kernel_b.migration.migrate_many(
+        kernel_b.clock.advance(77)
+        kernel_s.clock.advance(77)
+        moved_b = kernel_b.migration.migrate_many(
             self._batches(procs_b, FAST_TIER), SLOW_TIER,
             mark_demoted=True,
         )
-        for process, vpns in self._batches(procs_s, FAST_TIER):
-            kernel_s.migration.migrate(
-                process, vpns, SLOW_TIER, mark_demoted=True
+        moved_s = oracle.migrate_many(
+            kernel_s.migration, self._batches(procs_s, FAST_TIER),
+            SLOW_TIER, mark_demoted=True,
+        )
+        self._assert_same_outcome(kernel_b, moved_b, kernel_s, moved_s)
+
+    def test_mixed_source_tiers_match_sequential_loop(self):
+        """On a three-tier machine, a batch drawn from two source tiers
+        and one drawn from a single tier return each tier exactly the
+        frames it gave up."""
+        def three_tier_fleet():
+            spec = MachineSpec(
+                tiers=(dram_spec(64), optane_spec(512), optane_spec(512))
             )
-        for proc_b, proc_s in zip(procs_b, procs_s):
-            np.testing.assert_array_equal(
-                proc_b.pages.demoted, proc_s.pages.demoted
-            )
-            np.testing.assert_array_equal(
-                proc_b.pages.demote_ts_ns, proc_s.pages.demote_ts_ns
-            )
-            np.testing.assert_array_equal(
-                proc_b.pages.prot_none, proc_s.pages.prot_none
-            )
+            kernel = Kernel(machine=TieredMachine(spec), rng=RngStreams(0))
+            procs = [make_process(pid=pid, n_pages=96) for pid in (1, 2)]
+            for process in procs:
+                kernel.register_process(process)
+                process.pages.tier[::2] = 1
+                process.pages.tier[1::2] = 2
+                kernel.machine.tiers[1].allocate(48)
+                kernel.machine.tiers[2].allocate(48)
+            return kernel, procs
+
+        kernel_b, procs_b = three_tier_fleet()
+        kernel_s, procs_s = three_tier_fleet()
+        def batches(procs):
+            # tiers 1 and 2 alternate by vpn: the second batch is all
+            # tier 2
+            return [
+                (procs[0], np.arange(0, 40)), (procs[1], np.arange(1, 40, 2))
+            ]
+
+        moved_b = kernel_b.migration.migrate_many(
+            batches(procs_b), FAST_TIER
+        )
+        moved_s = oracle.migrate_many(
+            kernel_s.migration, batches(procs_s), FAST_TIER
+        )
+        self._assert_same_outcome(kernel_b, moved_b, kernel_s, moved_s)
+        assert [t.used_pages for t in kernel_b.machine.tiers] == [
+            60, 96 - 20, 96 - 20 - 20,
+        ]
 
 
 class TestArrayKernelOracle:
@@ -369,32 +488,79 @@ class TestArrayKernelOracle:
             )
 
 
-class TestPolicyTransientOracle:
-    """The ``batched_transients`` contract, policy by policy: flipping a
-    policy to the sequential transient loops must reproduce the batched
-    trajectory exactly, because every fleet pass is bit-identical per
-    process and every registered hook only touches its own process."""
+#: registered policies that move no page at the oracle config
+NON_MIGRATING = {"multiclock"}
 
-    @pytest.mark.parametrize("policy_name", ALL_POLICIES)
-    def test_sequential_transients_match_batched(self, policy_name):
-        results = []
-        for batched in (True, False):
-            setup = StandardSetup(duration_ns=SECOND)
-            policy = setup.build_policy(policy_name)
-            policy.batched_transients = batched
-            processes = build_fleet(
-                setup, "pmbench", n_procs=3, pages_per_proc=512
-            )
-            results.append(
-                run_experiment(processes, policy, setup.run_config())
-            )
-        batched_run, sequential_run = results
+
+class TestPolicyTransientOracle:
+    """The transient-hook contract, policy by policy: installing the
+    per-process loops of ``tests/transient_oracle.py`` in place of the
+    fleet passes must reproduce the default trajectory exactly, because
+    every fleet pass is bit-identical per process and every registered
+    hook touches only its own process.
+
+    The config is contended so the transients actually run: 16
+    processes of 256 pmbench pages over a 1,024-page fast tier, with a
+    half-second scan period, for 2 s.  Each run checks its own coverage.
+    """
+
+    @staticmethod
+    def _run(policy_name):
+        setup = StandardSetup(
+            duration_ns=2 * SECOND,
+            fast_pages=1_024,
+            scan_period_ns=SECOND // 2,
+        )
+        policy = setup.build_policy(policy_name)
+        processes = build_fleet(
+            setup, "pmbench", n_procs=16, pages_per_proc=256
+        )
+        return run_experiment(processes, policy, setup.run_config())
+
+    @pytest.mark.parametrize("policy_name", policy_names())
+    def test_sequential_transients_match_batched(
+        self, policy_name, monkeypatch
+    ):
+        coverage = {"aging": 0, "fleet_scans": 0, "fleet_marked": 0}
+        scan_fleet = TickingScanner.scan_fleet
+        age_fleet = LruLists.age_fleet
+
+        def counted_scan(scanner, entries):
+            before = scanner.kernel.stats.pages_scanned
+            scan_fleet(scanner, entries)
+            if len(entries) > 1:
+                coverage["fleet_scans"] += 1
+                coverage["fleet_marked"] += (
+                    scanner.kernel.stats.pages_scanned - before
+                )
+
+        def counted_aging(lru, processes, now_ns):
+            processes = list(processes)
+            coverage["aging"] += bool(processes)
+            return age_fleet(lru, processes, now_ns)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TickingScanner, "scan_fleet", counted_scan)
+            patch.setattr(LruLists, "age_fleet", counted_aging)
+            fleet_run = self._run(policy_name)
+        with monkeypatch.context() as patch:
+            oracle.install(patch)
+            sequential_run = self._run(policy_name)
+
         assert (
-            batched_run.throughput_per_sec
+            fleet_run.throughput_per_sec
             == sequential_run.throughput_per_sec
         )
-        assert batched_run.fmar == sequential_run.fmar
-        assert batched_run.stats == sequential_run.stats
+        assert fleet_run.fmar == sequential_run.fmar
+        assert fleet_run.stats == sequential_run.stats
+
+        assert coverage["aging"] > 0
+        if fleet_run.kernel.scanner is not None:
+            assert coverage["fleet_scans"] > 0
+            assert coverage["fleet_marked"] > 0
+        if policy_name not in NON_MIGRATING:
+            stats = fleet_run.stats
+            assert stats["pgpromote"] + stats["pgdemote"] > 0
 
 
 @st.composite
@@ -429,25 +595,36 @@ class TestSegmentOffsetProperties:
             processes.append(process)
 
         lru = LruLists(RngStreams(paint_seed).get("lru"))
-        selection = lru.coldest_pages(
-            processes, FAST_TIER, n_pages, inactive_only=False
+        first, second = lru.coldest_pages_two_phase(
+            processes, FAST_TIER, n_pages
         )
 
+        inactive = sum(
+            int(np.count_nonzero(
+                (p.pages.tier == FAST_TIER) & ~p.pages.lru_active
+            ))
+            for p in processes
+        )
         candidates = sum(
             int(np.count_nonzero(p.pages.tier == FAST_TIER))
             for p in processes
         )
-        total = sum(v.size for _, v in selection)
-        assert total == min(n_pages, candidates)
-        seen_pids = [process.pid for process, _ in selection]
-        assert seen_pids == sorted(seen_pids)
-        for process, vpns in selection:
-            assert vpns.size > 0
-            assert vpns.min() >= 0
-            assert vpns.max() < process.n_pages
-            assert np.unique(vpns).size == vpns.size
-            assert (np.diff(vpns) > 0).all()
-            assert (process.pages.tier[vpns] == FAST_TIER).all()
+        taken = sum(v.size for _, v in first)
+        assert taken == min(n_pages, inactive)
+        assert sum(v.size for _, v in second) == (
+            min(n_pages - taken, candidates) if taken < n_pages else 0
+        )
+        for phase, selection in enumerate((first, second)):
+            seen_pids = [process.pid for process, _ in selection]
+            assert seen_pids == sorted(seen_pids)
+            for process, vpns in selection:
+                assert vpns.size > 0
+                assert vpns.min() >= 0
+                assert vpns.max() < process.n_pages
+                assert (np.diff(vpns) > 0).all()
+                assert (process.pages.tier[vpns] == FAST_TIER).all()
+                if phase == 0:
+                    assert not process.pages.lru_active[vpns].any()
 
     @given(layout=fleet_layout(), data=st.data())
     @settings(max_examples=30, deadline=None)

@@ -54,36 +54,41 @@ class TestAging:
 
 
 class TestColdestSelection:
+    """``coldest_pages_two_phase``, the selector reclaim runs: inactive
+    pages first, then the whole tier for any shortfall."""
+
     def test_orders_by_generation(self, lru):
         process = make_process(n_pages=8)
         process.pages.tier[:] = FAST_TIER
         process.pages.lru_active[:] = False
         process.pages.lru_gen[:] = np.arange(8)[::-1]  # page 7 is coldest
-        victims = lru.coldest_pages([process], FAST_TIER, 2)
-        (proc, vpns), = victims
+        first, second = lru.coldest_pages_two_phase([process], FAST_TIER, 2)
+        (proc, vpns), = first
         assert proc is process
         assert set(vpns.tolist()) == {6, 7}
+        assert second == []
 
     def test_respects_tier_filter(self, lru):
         process = make_process(n_pages=8)
         process.pages.tier[:4] = FAST_TIER
         process.pages.tier[4:] = SLOW_TIER
-        victims = lru.coldest_pages([process], FAST_TIER, 100)
-        (_, vpns), = victims
-        assert (vpns < 4).all()
+        first, second = lru.coldest_pages_two_phase(
+            [process], FAST_TIER, 100
+        )
+        for (_, vpns) in first + second:
+            assert (vpns < 4).all()
 
     def test_inactive_only(self, lru):
         process = make_process(n_pages=8)
         process.pages.tier[:] = FAST_TIER
         process.pages.lru_active[:4] = True
-        victims = lru.coldest_pages([process], FAST_TIER, 100)
-        (_, vpns), = victims
-        assert (vpns >= 4).all()
-        # Including active pages widens the pool.
-        victims = lru.coldest_pages(
-            [process], FAST_TIER, 100, inactive_only=False
+        first, second = lru.coldest_pages_two_phase(
+            [process], FAST_TIER, 100
         )
-        (_, vpns), = victims
+        (_, vpns), = first
+        assert (vpns >= 4).all()
+        # The shortfall falls back to the whole tier, active pages too.
+        (_, vpns), = second
         assert vpns.size == 8
 
     def test_spans_processes(self, lru):
@@ -93,21 +98,20 @@ class TestColdestSelection:
             proc.pages.tier[:] = FAST_TIER
             proc.pages.lru_active[:] = False
             proc.pages.lru_gen[:] = gen
-        victims = lru.coldest_pages([old, new], FAST_TIER, 4)
-        assert len(victims) == 1
-        assert victims[0][0] is old
+        first, second = lru.coldest_pages_two_phase(
+            [old, new], FAST_TIER, 4
+        )
+        assert len(first) == 1
+        assert first[0][0] is old
+        assert second == []
 
     def test_zero_request(self, lru):
-        assert lru.coldest_pages([make_process()], FAST_TIER, 0) == []
+        assert lru.coldest_pages_two_phase(
+            [make_process()], FAST_TIER, 0
+        ) == ([], [])
 
     def test_no_matching_pages(self, lru):
         process = make_process(n_pages=4)  # all pages on slow tier
-        assert lru.coldest_pages([process], FAST_TIER, 10) == []
-
-
-class TestInactiveCount:
-    def test_counts(self, lru):
-        process = make_process(n_pages=8)
-        process.pages.tier[:] = FAST_TIER
-        process.pages.lru_active[:3] = True
-        assert lru.inactive_count([process], FAST_TIER) == 5
+        assert lru.coldest_pages_two_phase(
+            [process], FAST_TIER, 10
+        ) == ([], [])

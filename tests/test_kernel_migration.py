@@ -86,69 +86,6 @@ class TestDemotion:
         assert not process.pages.lru_active[3]
 
 
-class _RecordingTier:
-    """Counts ``release`` calls -- the only surface the helper touches."""
-
-    def __init__(self):
-        self.released = 0
-        self.calls = 0
-
-    def release(self, n):
-        self.released += int(n)
-        self.calls += 1
-
-
-def _release_source_frames_reference(tiers, src_tiers):
-    """The pre-vectorization sequential per-tier loop, kept as the oracle."""
-    for tier_id, tier in enumerate(tiers):
-        n = int((src_tiers == tier_id).sum())
-        if n:
-            tier.release(n)
-
-
-class TestReleaseSourceFrames:
-    def _assert_equivalent(self, n_tiers, src_tiers):
-        from repro.kernel.migration import _release_source_frames
-
-        src_tiers = np.asarray(src_tiers, dtype=np.int64)
-        got = [_RecordingTier() for _ in range(n_tiers)]
-        want = [_RecordingTier() for _ in range(n_tiers)]
-        _release_source_frames(got, src_tiers)
-        _release_source_frames_reference(want, src_tiers)
-        assert [t.released for t in got] == [t.released for t in want]
-        # Each populated tier gets exactly one batched release.
-        assert all(t.calls <= 1 for t in got)
-
-    def test_empty_batch_releases_nothing(self):
-        from repro.kernel.migration import _release_source_frames
-
-        tiers = [_RecordingTier(), _RecordingTier()]
-        _release_source_frames(tiers, np.array([], dtype=np.int64))
-        assert all(t.calls == 0 for t in tiers)
-
-    def test_single_source_fast_path(self):
-        self._assert_equivalent(2, [1, 1, 1, 1])
-
-    def test_mixed_sources(self):
-        self._assert_equivalent(3, [0, 2, 0, 1, 2, 2])
-
-    def test_unpopulated_tiers_untouched(self):
-        from repro.kernel.migration import _release_source_frames
-
-        tiers = [_RecordingTier() for _ in range(4)]
-        _release_source_frames(tiers, np.array([1, 3, 1]))
-        assert [t.released for t in tiers] == [0, 2, 0, 1]
-        assert [t.calls for t in tiers] == [0, 1, 0, 1]
-
-    def test_randomized_equivalence(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(50):
-            n_tiers = int(rng.integers(1, 5))
-            size = int(rng.integers(0, 40))
-            src = rng.integers(0, n_tiers, size=size)
-            self._assert_equivalent(n_tiers, src)
-
-
 class TestAccounting:
     def test_empty_batch(self, setup):
         kernel, process = setup
