@@ -1532,13 +1532,21 @@ def run_quick_fusion_gate(baseline, duration_ns):
     Two floors: the fused-vs-per-quantum speedup must clear
     ``FUSION_SPEEDUP_FLOOR`` (fusion pays for itself), and fused
     quanta/sec must stay above ``FUSION_GATE_FRACTION`` of the
-    committed fusion section.  A missing or pre-fusion baseline skips
-    the throughput comparison; the speedup floor always applies.
-    Returns ``(section, ok)``.
+    committed fusion section.  The runs simulate the committed
+    section's own ``config.duration_sec``, so both sides of the
+    throughput floor measure the same runs (a shorter run fuses a
+    smaller share of its quanta); ``duration_ns`` (``--duration``)
+    applies only without a usable baseline.  A missing or pre-fusion
+    baseline skips the throughput comparison; the speedup floor
+    always applies.  Returns ``(section, ok)``.
     """
     committed = None
     try:
-        committed = float(baseline["fusion"]["fused"]["quanta_per_sec"])
+        fusion = baseline["fusion"]
+        committed, duration_ns = (
+            float(fusion["fused"]["quanta_per_sec"]),
+            int(float(fusion["config"]["duration_sec"]) * SECOND),
+        )
     except (KeyError, ValueError, TypeError):
         pass
     print(
@@ -1694,8 +1702,9 @@ def main(argv=None) -> int:
         "--duration", type=float, default=None,
         help=(
             "simulated seconds per run (default: 20, or 5 with "
-            "--quick, where it sets the fusion gate's runs; the "
-            "quanta/sec gate runs the baseline's config)"
+            "--quick, where the quanta/sec and fusion gates run the "
+            "baseline's configs and this sets the fusion runs only "
+            "without a baseline)"
         ),
     )
     parser.add_argument(
@@ -1794,8 +1803,8 @@ def main(argv=None) -> int:
         f"quanta/sec  ({optimized['wall_sec']:.2f}s wall, median of "
         f"{ENGINE_RUNS})"
     )
-    # The profile comes from a run of its own: the Profiler's
-    # instrumentation stays out of the gated quanta/sec.
+    # The profile comes from a run of its own: the profile's wrappers
+    # stay out of the gated quanta/sec.
     profiled = time_engine(
         setup, args.policy, workload_kwargs,
         fast_path=True, profile=True,

@@ -554,7 +554,7 @@ def cmd_run(args) -> int:
 def _profile_table(profile: dict) -> str:
     """Format profile rows, hottest subsystem first.
 
-    ``Profiler.report`` already orders its dict by descending
+    ``Profile.report`` already orders its dict by descending
     wall-time, but profiles that round-tripped through JSON (the result
     cache, sweep workers) carry no ordering guarantee, so sort here.
     """

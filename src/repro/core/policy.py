@@ -395,19 +395,12 @@ class ChronoPolicy(TieringPolicy):
         probed = pages.probed[vpns]
         if probed.any():
             if self.dcsc is not None:
-                profiler = kernel.profiler
-                if profiler is not None:
-                    profiler.push("dcsc_fold")
-                try:
-                    self.dcsc.on_probed_fault(
-                        process,
-                        vpns[probed],
-                        cits[probed],
-                        batch.fault_ts_ns[probed],
-                    )
-                finally:
-                    if profiler is not None:
-                        profiler.pop()
+                self.dcsc.on_probed_fault(
+                    process,
+                    vpns[probed],
+                    cits[probed],
+                    batch.fault_ts_ns[probed],
+                )
             regular = ~probed
             vpns = vpns[regular]
             cits = cits[regular]

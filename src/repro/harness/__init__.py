@@ -14,15 +14,12 @@
 * :mod:`repro.harness.cache` -- on-disk result cache keyed by a content
   hash of (cell description, code version), plus per-cell wall-time
   history for the adaptive scheduler.
-* :mod:`repro.harness.profiling` -- per-subsystem wall-time shares
-  (scan / fault / migrate / policy / engine).
 * :mod:`repro.harness.reporting` -- plain-text tables in the shape of the
   paper's figures.
 """
 
 from repro.harness.cache import ResultCache
 from repro.harness.engine import QuantumEngine
-from repro.harness.profiling import Profiler
 from repro.harness.runner import (
     RunConfig,
     RunResult,
@@ -40,7 +37,6 @@ from repro.harness.sweep import (
 
 __all__ = [
     "CellResult",
-    "Profiler",
     "QuantumEngine",
     "ResultCache",
     "RunConfig",

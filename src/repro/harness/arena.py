@@ -589,25 +589,15 @@ class ProcessArena:
     # ------------------------------------------------------------------
     # The batched step
     # ------------------------------------------------------------------
-    def step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """Execute one (macro-)quantum for every process; returns the
-        fleet's per-tier byte demand.
-
-        O(dynamic + dirty rows) Python work per quantum, vectorised over
-        the witness cells for everything else.
-        """
-        engine = self.engine
-        profiler = self.kernel.profiler
+    def _gather(self, start_ns: int, quantum_ns: int) -> bool:
+        """Phase 1 of :meth:`step`: budgets, workload advance and
+        distribution swaps, tier-mass repair, kernel debt.  Returns
+        whether a row finished (the caller retires it)."""
         refs = self.probs_refs
         procs = self.processes
-        cells = self._cells
-        budget, n_vec = self._budget, self._n
+        budget = self._budget
         live_mask = self._live_mask
         retired = False
-
-        # ---- Phase 1: gather (vectorised staleness/debt detection) ----------
-        if profiler is not None:
-            profiler.push("arena_build")
         if self._budget_tainted or self._budget_fill != float(quantum_ns):
             # A new quantum length, or budgets a debt drain cut: the
             # cached ``n`` vector is stale even when nothing else moved.
@@ -626,7 +616,7 @@ class ProcessArena:
             if probs is not refs[i]:
                 self._swap_probs(i, probs, workload)
         stale_buf = self._stale_buf
-        np.not_equal(cells[0], self.mass_epoch, out=stale_buf)
+        np.not_equal(self._cells[0], self.mass_epoch, out=stale_buf)
         stale_buf &= live_mask
         stale_idx = np.flatnonzero(stale_buf)
         if stale_idx.size:
@@ -643,18 +633,30 @@ class ProcessArena:
                     budget[k] = quantum_ns - procs[
                         k
                     ].drain_pending_kernel(quantum_ns)
-        if profiler is not None:
-            profiler.pop()
-        if retired:
+        return retired
+
+    def step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
+        """Execute one (macro-)quantum for every process; returns the
+        fleet's per-tier byte demand.
+
+        O(dynamic + dirty rows) Python work per quantum, vectorised over
+        the witness cells for everything else.
+        """
+        engine = self.engine
+        refs = self.probs_refs
+        cells = self._cells
+        budget, n_vec = self._budget, self._n
+        live_mask = self._live_mask
+
+        # ---- Phase 1: gather (vectorised staleness/debt detection) ----------
+        if self._gather(start_ns, quantum_ns):
             self._retire_rows()
-            retired = False
         if not self._rows:
             self._demand_out.fill(0.0)
             return self._demand_out
+        retired = False
 
         # ---- Phase 2: pricing (dirty rows only) -----------------------------
-        if profiler is not None:
-            profiler.push("segment_fold")
         read_lats = engine._read_lat_list
         write_lats = engine._write_lat_list
         if (
@@ -711,16 +713,12 @@ class ProcessArena:
             np.sum(mass, axis=1, out=zm)
             np.sign(zm, out=zm)
             np.multiply(n_vec, zm, out=n_vec)
-        if profiler is not None:
-            profiler.pop()
 
         # ---- Phase 3: fault draw --------------------------------------------
         faults = self._faults
         have_faults = self._fault_phase(start_ns, quantum_ns)
 
         # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
-        if profiler is not None:
-            profiler.push("segment_fold")
         # One concatenated ledger account: extends every segment's share
         # of the open run (zero for finished/stalled segments).
         self.open_n += n_vec
@@ -757,22 +755,14 @@ class ProcessArena:
         self._acc_fast += self._fast_prod
         self._acc_user += self._user_prod
         self._acc_stall += self._stall_prod
-        if profiler is not None:
-            profiler.pop()
 
         # ---- Phase 7: policy hooks, finish checks, witness ------------------
         hook = self._resolve_policy_hook(self.kernel.policy)
         if hook is not None:
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                n_list = n_vec.tolist()
-                for row in self._rows:
-                    i = row[0]
-                    hook(row[1], refs[i], n_list[i], start_ns, quantum_ns)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
+            n_list = n_vec.tolist()
+            for row in self._rows:
+                i = row[0]
+                hook(row[1], refs[i], n_list[i], start_ns, quantum_ns)
         acc_n = self._acc_n
         for row in self._target_rows:
             i, proc, workload, pages = row
@@ -807,14 +797,7 @@ class ProcessArena:
             return False
         faults = self._faults
         faults.fill(0.0)
-        profiler = self.kernel.profiler
-        if profiler is not None:
-            profiler.push("fault_partition")
-        try:
-            self.plan.draw(n_vec, faults, start_ns, quantum_ns)
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        self.plan.draw(n_vec, faults, start_ns, quantum_ns)
         # Fault-path promotions moved pages: repair the eligible rows so
         # accounting prices the post-fault placement, as the reference
         # engine's post-fault recount does.  Rows that could not fault

@@ -183,9 +183,6 @@ class QuantumEngine:
             raise ValueError("duration must be positive")
         self.kernel.start()
         clock = self.kernel.clock
-        profiler = self.kernel.profiler
-        if profiler is not None:
-            profiler.push("engine")
         try:
             end_ns = clock.now + duration_ns
             next_observe = clock.now
@@ -339,8 +336,6 @@ class QuantumEngine:
                 # page-state sources: results may outlive this engine.
                 self._arena.detach()
                 self._arena = None
-            if profiler is not None:
-                profiler.pop()
 
     def _arena_step(self, start_ns: int, macro_ns: int) -> np.ndarray:
         """One batched arena step (builds/rebuilds the arena lazily)."""
@@ -603,16 +598,9 @@ class QuantumEngine:
 
         policy = self.kernel.policy
         if policy is not None and hasattr(policy, "on_quantum"):
-            profiler = self.kernel.profiler
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                policy.on_quantum(
-                    process, probs, n_accesses, start_ns, quantum_ns
-                )
-            finally:
-                if profiler is not None:
-                    profiler.pop()
+            policy.on_quantum(
+                process, probs, n_accesses, start_ns, quantum_ns
+            )
 
         if (
             process.target_accesses is not None

@@ -11,13 +11,14 @@ percentages).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.engine import Observer, QuantumEngine
-from repro.harness.profiling import Profiler
 from repro.kernel.kernel import Kernel
 from repro.obs.hub import ObsHub
+from repro.obs.profile import Profile
 from repro.mem.machine import MachineSpec, TieredMachine
 from repro.mem.tier import dram_spec, optane_spec
 from repro.sim.rng import RngStreams
@@ -175,8 +176,9 @@ def run_experiment(
         config: machine/engine parameters.
         cgroups: optional per-process cgroup names (parallel list).
         observer / observe_every_ns: engine observation hook.
-        profile: attach a :class:`Profiler` and report per-subsystem
-            wall-time shares on the result.
+        profile: time ``engine.run`` under a
+            :class:`~repro.obs.profile.Profile` and report per-subsystem
+            wall-time shares on the result (``RunResult.profile``).
         fast_path: ``True`` (the default) steps through the arena;
             ``False`` runs the reference engine, the oracle the arena
             is checked against.
@@ -197,8 +199,6 @@ def run_experiment(
         rng=RngStreams(config.seed),
         aging_period_ns=config.aging_period_ns,
     )
-    if profile:
-        kernel.profiler = Profiler()
     # The hub must be attached before set_policy: policies wire their
     # sub-collectors (DCSC, PEBS) to ``kernel.obs`` at configure time.
     kernel.obs = obs
@@ -214,13 +214,19 @@ def run_experiment(
         fast_path=fast_path,
         fusion=config.fusion,
     )
-    end_ns = engine.run(
-        config.duration_ns,
-        observer=observer,
-        observe_every_ns=observe_every_ns,
-        stop_when_finished=config.stop_when_finished,
-    )
-    return summarize_run(policy, kernel, engine, end_ns)
+    # Profile the run only, after set_policy (see repro.obs.profile).
+    timing = Profile(kernel) if profile else None
+    with timing or contextlib.nullcontext():
+        end_ns = engine.run(
+            config.duration_ns,
+            observer=observer,
+            observe_every_ns=observe_every_ns,
+            stop_when_finished=config.stop_when_finished,
+        )
+    result = summarize_run(policy, kernel, engine, end_ns)
+    if timing is not None:
+        result.profile = timing.report()
+    return result
 
 
 def summarize_run(
@@ -279,11 +285,6 @@ def summarize_run(
         per_process=per_process,
         kernel=kernel,
         engine=engine,
-        profile=(
-            kernel.profiler.report()
-            if kernel.profiler is not None
-            else None
-        ),
         metrics=(
             kernel.obs.snapshot() if kernel.obs is not None else None
         ),

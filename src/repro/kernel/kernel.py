@@ -92,9 +92,6 @@ class Kernel:
         self._pids: Set[int] = set()
         self.policy: Any = None
         self.scanner: Optional[TickingScanner] = None
-        #: optional :class:`repro.harness.profiling.Profiler`; when set,
-        #: the engine and kernel subsystems charge their wall time to it
-        self.profiler: Any = None
         #: optional :class:`repro.obs.hub.ObsHub`; when set, kernel paths
         #: emit structured trace events and maintain the metrics
         #: registry.  ``None`` (the default) keeps every instrumentation
@@ -134,9 +131,6 @@ class Kernel:
             raise ValueError(f"pid {process.pid} already registered")
         self._pids.add(process.pid)
         self.processes.append(process)
-        # Deferred-accounting flushes charge their wall time to the
-        # profiler's ``accounting`` section (a no-op while unprofiled).
-        process.pages.profiler = self.profiler
         if cgroup is not None:
             self.cgroups.attach(process, cgroup)
 
@@ -217,9 +211,6 @@ class Kernel:
         # Visit processes in random order: policies that migrate from
         # their aging hook (Multi-Clock) compete for fast-tier space, and
         # a fixed visiting order would systematically favour low pids.
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("aging")
         order = self.rng.get("kernel.aging").permutation(
             len(self.processes)
         )
@@ -252,15 +243,7 @@ class Kernel:
             if self.policy is not None and hasattr(
                 self.policy, "on_lru_age"
             ):
-                if profiler is not None:
-                    profiler.push("policy")
-                try:
-                    self.policy.on_lru_age(process, touched, now_ns)
-                finally:
-                    if profiler is not None:
-                        profiler.pop()
-        if profiler is not None:
-            profiler.pop()
+                self.policy.on_lru_age(process, touched, now_ns)
         self._schedule_aging(now_ns + self.aging_period_ns)
 
     # ------------------------------------------------------------------
@@ -295,9 +278,6 @@ class Kernel:
         n = fault_batch.n_faults
         if n == 0:
             return
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("fault")
         self.stats.hint_faults += n
         process.stats.hint_faults += n
         self.stats.context_switches += n
@@ -318,15 +298,7 @@ class Kernel:
                 "fault.batch", self.clock.now, **fault_batch.event_fields()
             )
         if self.policy is not None:
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                self.policy.on_fault(process, fault_batch)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-        if profiler is not None:
-            profiler.pop()
+            self.policy.on_fault(process, fault_batch)
 
     def __repr__(self) -> str:
         policy = getattr(self.policy, "name", None)

@@ -199,18 +199,11 @@ class ReclaimDaemon:
         if n_pages <= 0:
             return 0
 
-        profiler = self.kernel.profiler
-        if profiler is not None:
-            profiler.push("reclaim_select")
-        try:
-            victims, extra = self.kernel.lru.coldest_pages_two_phase(
-                self.kernel.processes, FAST_TIER, n_pages
-            )
-            if extra:
-                victims = _merge_victims(victims, extra)
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        victims, extra = self.kernel.lru.coldest_pages_two_phase(
+            self.kernel.processes, FAST_TIER, n_pages
+        )
+        if extra:
+            victims = _merge_victims(victims, extra)
 
         obs = self.kernel.obs
         if obs is not None:

@@ -144,64 +144,50 @@ class TickingScanner:
         global-stats and obs-counter update, and the ``on_scan`` hooks
         in process order -- exact whenever a hook touches only its own
         process (the transient-hook contract of
-        :class:`~repro.policies.base.TieringPolicy`).  The pass runs
-        under one ``scan_pass`` profiler section.
+        :class:`~repro.policies.base.TieringPolicy`).
         """
         kernel = self.kernel
-        profiler = kernel.profiler
-        if profiler is not None:
-            profiler.push("scan_pass")
-        try:
-            tier_filter = self.config.tier_filter
-            scan_cost_ns = kernel.machine.spec.effective_scan_cost_ns
-            results: List[Tuple["SimProcess", np.ndarray, bool, int]] = []
-            total_cost = 0
-            total_marked = 0
-            wrapped_count = 0
-            for process in processes:
-                step = min(self.config.scan_step_pages, process.n_pages)
-                window, wrapped = process.aspace.next_scan_window(step)
-                if tier_filter is not None:
-                    window = window[
-                        process.pages.tier[window] == tier_filter
-                    ]
-                marked = process.pages.protect(window, now_ns)
-                cost = window.size * scan_cost_ns
-                process.charge_kernel(cost)
-                total_cost += cost
-                total_marked += marked
-                if wrapped:
-                    wrapped_count += 1
-                results.append((process, window, wrapped, marked))
-            kernel.stats.kernel_time_ns += total_cost
-            kernel.stats.pages_scanned += total_marked
-            kernel.stats.scan_passes += wrapped_count
-            obs = kernel.obs
-            if obs is not None:
-                obs.inc("scan.windows", len(results))
-                obs.inc("scan.pages_marked", total_marked)
-                if wrapped_count:
-                    obs.inc("scan.passes", wrapped_count)
-                for process, window, wrapped, marked in results:
-                    obs.emit(
-                        "scan.window",
-                        now_ns,
-                        pid=process.pid,
-                        n_window=int(window.size),
-                        n_marked=int(marked),
-                        wrapped=bool(wrapped),
-                        vpns=window,
-                    )
-            if self.on_scan is not None:
-                if profiler is not None:
-                    profiler.push("policy")
-                try:
-                    for process, window, _, _ in results:
-                        self.on_scan(process, window, now_ns)
-                finally:
-                    if profiler is not None:
-                        profiler.pop()
-            return [window for _, window, _, _ in results]
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        tier_filter = self.config.tier_filter
+        scan_cost_ns = kernel.machine.spec.effective_scan_cost_ns
+        results: List[Tuple["SimProcess", np.ndarray, bool, int]] = []
+        total_cost = 0
+        total_marked = 0
+        wrapped_count = 0
+        for process in processes:
+            step = min(self.config.scan_step_pages, process.n_pages)
+            window, wrapped = process.aspace.next_scan_window(step)
+            if tier_filter is not None:
+                window = window[
+                    process.pages.tier[window] == tier_filter
+                ]
+            marked = process.pages.protect(window, now_ns)
+            cost = window.size * scan_cost_ns
+            process.charge_kernel(cost)
+            total_cost += cost
+            total_marked += marked
+            if wrapped:
+                wrapped_count += 1
+            results.append((process, window, wrapped, marked))
+        kernel.stats.kernel_time_ns += total_cost
+        kernel.stats.pages_scanned += total_marked
+        kernel.stats.scan_passes += wrapped_count
+        obs = kernel.obs
+        if obs is not None:
+            obs.inc("scan.windows", len(results))
+            obs.inc("scan.pages_marked", total_marked)
+            if wrapped_count:
+                obs.inc("scan.passes", wrapped_count)
+            for process, window, wrapped, marked in results:
+                obs.emit(
+                    "scan.window",
+                    now_ns,
+                    pid=process.pid,
+                    n_window=int(window.size),
+                    n_marked=int(marked),
+                    wrapped=bool(wrapped),
+                    vpns=window,
+                )
+        if self.on_scan is not None:
+            for process, window, _, _ in results:
+                self.on_scan(process, window, now_ns)
+        return [window for _, window, _, _ in results]

@@ -14,7 +14,9 @@ The ``repro.obs`` package is the simulator's observability layer:
 * :mod:`repro.obs.hub` -- :class:`~repro.obs.hub.ObsHub`, the single
   handle instrumented kernel paths reach through ``kernel.obs``;
 * :mod:`repro.obs.tracefile` -- trace-file reading and the
-  aggregations behind ``chrono-sim trace``.
+  aggregations behind ``chrono-sim trace``;
+* :mod:`repro.obs.profile` -- the ``--profile`` wall-time profile,
+  wrappers installed around a run from one ``SECTIONS`` table.
 
 Attach a hub with ``run_experiment(..., obs=ObsHub.create(...))`` or the
 CLI's ``chrono-sim run --trace out.jsonl --metrics``.  With no hub

@@ -4,10 +4,10 @@ A :class:`ObsHub` bundles an optional :class:`~repro.obs.trace.Tracer`
 and an optional :class:`~repro.obs.metrics.MetricsRegistry` behind one
 handle that instrumented subsystems reach through ``kernel.obs``.
 
-The zero-overhead-when-disabled contract mirrors the profiler's:
-``kernel.obs`` is ``None`` by default and every instrumentation site is
-guarded by a single ``is None`` check, so an unobserved run executes no
-observability code at all.  When a hub *is* attached, each of its
+The zero-overhead-when-disabled contract: ``kernel.obs`` is ``None``
+by default and every instrumentation site is guarded by a single ``is
+None`` check, so an unobserved run executes no observability code at
+all.  When a hub *is* attached, each of its
 helpers degrades to a cheap no-op for the half that is absent (metrics
 updates with no registry, event emission with no tracer), so either
 facility can be enabled alone.

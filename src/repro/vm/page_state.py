@@ -135,10 +135,6 @@ class PageState:
         #: the source still holds undrained accesses for this process.
         self._ledger_source: Optional[Callable[[], None]] = None
         self._ledger_source_pending: Optional[Callable[[], bool]] = None
-        #: optional :class:`repro.harness.profiling.Profiler`; when set,
-        #: ledger flushes charge their wall time to the ``accounting``
-        #: section (wired by ``Kernel.register_process``)
-        self.profiler: Any = None
         #: placement generation: bumped on every ``move_to_tier`` so the
         #: engine can reuse per-quantum placement-derived caches (tier
         #: masses) across quanta without migrations
@@ -176,7 +172,7 @@ class PageState:
         #: writes its new value through, so the arena detects stale
         #: segments with one vectorised compare instead of an O(fleet)
         #: Python attribute walk per quantum.  (Keep the attribute count
-        #: at 29: CPython 3.11 stops sharing instance-dict keys at 30,
+        #: below 30: CPython 3.11 stops sharing instance-dict keys at 30,
         #: which costs ~1.3 KiB per page state -- 1.3 MiB per 1,024
         #: tenants.)
         self._witness_cells: Optional[np.ndarray] = None
@@ -272,27 +268,20 @@ class PageState:
             source()
         if not self._pending:
             return
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("accounting")
-        try:
-            buf = self._flush_buf
-            if buf is None:
-                buf = self._flush_buf = np.empty(
-                    self.n_pages, dtype=np.float64
-                )
-            for probs, n_accesses in self._pending:
-                ledger_fold(
-                    probs,
-                    n_accesses,
-                    self._access_count,
-                    self._last_window_count,
-                    buf,
-                )
-            self._pending.clear()
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        buf = self._flush_buf
+        if buf is None:
+            buf = self._flush_buf = np.empty(
+                self.n_pages, dtype=np.float64
+            )
+        for probs, n_accesses in self._pending:
+            ledger_fold(
+                probs,
+                n_accesses,
+                self._access_count,
+                self._last_window_count,
+                buf,
+            )
+        self._pending.clear()
 
     @property
     def access_count(self) -> np.ndarray:

@@ -180,3 +180,57 @@ class TestQuickGate:
         )
         assert payload["after"]["quanta_per_sec"] == 690.0
         assert code == 1
+
+
+class TestQuickFusionGate:
+    """The --quick fused-throughput gate times the committed fusion
+    section's own duration, so both sides of the floor measure the
+    same runs; ``--duration`` applies only without a baseline."""
+
+    @staticmethod
+    def _gate(monkeypatch, baseline, fused_qps=1000.0):
+        durations = []
+
+        def fake_time_fusion(duration_ns):
+            durations.append(duration_ns)
+            run = {"quanta_per_sec": fused_qps, "fusion_ratio": 0.8}
+            return {"fused": run, "per_quantum": run, "speedup": 1.5}
+
+        monkeypatch.setattr(bench, "time_fusion", fake_time_fusion)
+        section, ok = bench.run_quick_fusion_gate(baseline, 5 * SECOND)
+        return durations, section, ok
+
+    def test_times_the_baseline_fusion_duration(self, monkeypatch):
+        baseline = {
+            "fusion": {
+                "config": {"duration_sec": 20.0},
+                "fused": {"quanta_per_sec": 1600.0},
+            }
+        }
+        durations, section, ok = self._gate(monkeypatch, baseline)
+        assert durations == [20 * SECOND]
+        assert section["baseline_fused_quanta_per_sec"] == 1600.0
+        assert ok  # 1000 q/s clears the 50% floor of 1600
+
+    def test_floor_still_gates(self, monkeypatch):
+        baseline = {
+            "fusion": {
+                "config": {"duration_sec": 20.0},
+                "fused": {"quanta_per_sec": 2400.0},
+            }
+        }
+        _, _, ok = self._gate(monkeypatch, baseline)
+        assert bench.FUSION_GATE_FRACTION == 0.5
+        assert not ok  # 1000 q/s is below 1200
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [None, {}, {"fusion": {"fused": {"quanta_per_sec": 1600.0}}}],
+    )
+    def test_falls_back_to_the_command_line_duration(
+        self, monkeypatch, baseline
+    ):
+        durations, section, ok = self._gate(monkeypatch, baseline)
+        assert durations == [5 * SECOND]
+        assert section["baseline_fused_quanta_per_sec"] is None
+        assert ok
