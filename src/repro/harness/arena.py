@@ -27,11 +27,12 @@ One quantum (:meth:`ProcessArena.step`) is then:
    its queued kernel time to one debt vector, so stale tier-mass rows
    and indebted segments are found by vector compares.  Stale rows are
    repaired from the page-state move journal (O(moved)).  Only
-   *dynamic* rows get a per-row ``advance`` / ``access_distribution``
-   call; *static* rows -- stationary
-   :class:`~repro.workloads.base.Workload` subclasses whose
-   distribution object never changes -- skip it (it is a no-op for
-   them),
+   *dynamic* rows get ``advance`` / ``access_distribution`` calls, and
+   only once their time has come: a calendar vector holds each one's
+   ``stable_until_ns`` from its last visit.  *Static* rows --
+   stationary :class:`~repro.workloads.base.Workload` subclasses whose
+   distribution object never changes -- are never visited (the calls
+   are no-ops for them),
 2. *dirty-row pricing*: ``mean_lat = sum_t mass[:, t] * (rf *
    read_lat[t] + wf * write_lat[t])`` refolds through
    :func:`price_fold` only for rows whose mass, profile scalars or tier
@@ -47,9 +48,16 @@ One quantum (:meth:`ProcessArena.step`) is then:
    superposition / thinning.  The plan's upkeep is O(changes): resolved
    faults tombstone their slots in place, and per-page-state
    protection-change logs feed appends and tombstones for the segments
-   whose protect-epoch witness moved.  All touched pages get their
-   fault offsets in one pass; each faulting process still gets one
-   ``FaultBatch`` through ``Kernel.deliver_faults``, in segment order,
+   whose protect-epoch witness moved.  Every touched page is resolved
+   in one pass -- fault offset, CIT, ``prot_none`` cleared, accessed
+   bit set -- over fleet arrays that every ``PageState``'s ``tier``,
+   ``prot_none``, ``scan_ts_ns`` and ``accessed`` are slices of
+   (adopted at build; a later arena over the same processes takes them
+   over, and this one then refuses to step).  Only the scalar
+   bookkeeping runs per faulting segment.  The fleet's faults then go
+   to ``Kernel.deliver_faults`` as one ``FleetFaults``
+   (:mod:`repro.vm.fault`), which books them per process and makes one
+   ``policy.on_faults`` call,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
@@ -90,7 +98,7 @@ from repro.analysis.latency import LatencyMixture
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
-from repro.vm.fault import FaultBatch, first_access_offsets
+from repro.vm.fault import FleetFaults, first_access_offsets
 from repro.workloads.base import Workload
 
 #: journal replays a tier-mass row takes before a full recount; bounds
@@ -101,6 +109,9 @@ MASS_RESYNC_MOVES: int = 256
 #: active fault-plan slot (its own Bernoulli draw) instead of a dormant
 #: one (the aggregate Poisson draw); the split only steers cost
 FAULT_DORMANT_MAX_TOUCH: float = 0.02
+
+#: calendar entry of a row that is never due again
+NEVER: int = int(np.iinfo(np.int64).max)
 
 
 def price_fold(
@@ -154,10 +165,18 @@ class ProcessArena:
         np.cumsum(sizes, out=self.seg_starts[1:])
         total = int(self.seg_starts[-1])
         #: concatenated access distributions (refreshed per segment on a
-        #: phase change) and tier ids (scattered O(moved) on repair);
-        #: both feed the fused full-recount path
+        #: phase change); feeds the fused full-recount path and the
+        #: fault plan's rates
         self.concat_probs = np.zeros(total, dtype=np.float64)
-        self.concat_tier = np.zeros(total, dtype=np.int8)
+        #: the fleet's page arrays that the fault path touches: every
+        #: process's ``pages.tier`` / ``prot_none`` / ``scan_ts_ns`` /
+        #: ``accessed`` is its segment's slice of these (adopted at
+        #: build, :meth:`PageState.rehome`), so the fault resolve reads
+        #: and writes every segment in one pass
+        self.tier = np.empty(total, dtype=np.int8)
+        self.prot_none = np.empty(total, dtype=bool)
+        self.scan_ts_ns = np.empty(total, dtype=np.int64)
+        self.accessed = np.empty(total, dtype=bool)
         #: the *original* immutable distribution array per segment --
         #: ledger runs hold these by reference and the fusion horizon
         #: compares workloads' distributions against them by identity
@@ -267,22 +286,32 @@ class ProcessArena:
         #: witness cells: column ``i`` mirrors segment ``i``'s
         #: ``(epoch, protect_epoch, n_protected)`` (written through by its
         #: ``PageState``), so staleness and fault eligibility are vector
-        #: compares; the debt cells mirror each process's queued kernel
+        #: compares, and its fourth cell stays 1 while the segment's page
+        #: state is attached here (a later arena over the same process
+        #: clears it); the debt cells mirror each process's queued kernel
         #: time the same way
-        self._cells = np.zeros((3, n_segs), dtype=np.int64)
+        self._cells = np.zeros((4, n_segs), dtype=np.int64)
         self._debt_cells = np.zeros(n_segs, dtype=np.float64)
+        starts = self.seg_starts.tolist()
         for i, proc in enumerate(self.processes):
+            lo, hi = starts[i], starts[i + 1]
+            proc.pages.rehome(
+                self.tier[lo:hi],
+                self.prot_none[lo:hi],
+                self.scan_ts_ns[lo:hi],
+                self.accessed[lo:hi],
+            )
             proc.pages.set_witness_cells(self._cells, i)
             proc.set_debt_cell(self._debt_cells, i)
         self._build_masses()
         self._attach_ledger_sources()
         #: the fleet-wide fault plan (released by :meth:`detach`)
         self.plan = FaultPlan(self)
-        #: rows that still need the per-quantum ``advance`` /
-        #: ``access_distribution`` calls and the fusion horizon's
-        #: stability check: everything but stationary :class:`Workload`
-        #: subclasses with an identity-stable distribution and no
-        #: stability bound, for which all three are no-ops
+        #: rows that still need ``advance`` / ``access_distribution``
+        #: calls and the fusion horizon's stability check: everything but
+        #: stationary :class:`Workload` subclasses with an
+        #: identity-stable distribution and no stability bound, for which
+        #: all three are no-ops
         self._dynamic_rows = [
             row for row in self._rows
             if not (
@@ -293,6 +322,16 @@ class ProcessArena:
                 and row[2].access_distribution() is self.probs_refs[row[0]]
             )
         ]
+        #: the dynamic rows' calendar: the quantum start from which each
+        #: row's distribution may change -- its ``stable_until_ns`` at
+        #: its last visit (the fusion horizon's contract) -- so a step
+        #: visits only the rows whose time has come.  Static, retired
+        #: and stationary rows read ``NEVER``; a dynamic row is due at
+        #: the first step.
+        self._due_ns = np.full(n_segs, NEVER, dtype=np.int64)
+        self._due_ns[[row[0] for row in self._dynamic_rows]] = -NEVER
+        #: a lower bound of ``_due_ns``: a step before it visits no row
+        self._next_due_ns = int(self._due_ns.min(initial=NEVER))
         if not self._live_mask.all():
             self._retire_rows()
 
@@ -315,7 +354,6 @@ class ProcessArena:
             lo, hi = int(starts[i]), int(starts[i + 1])
             self.probs_refs[i] = probs
             self.concat_probs[lo:hi] = probs
-            self.concat_tier[lo:hi] = proc.pages.tier
             self.mass_epoch[i] = proc.pages.epoch
             self.mass_resync[i] = MASS_RESYNC_MOVES
             self._wf[i] = workload.write_fraction
@@ -327,7 +365,7 @@ class ProcessArena:
                 np.arange(self.n_segs, dtype=np.int64),
                 np.diff(starts),
             )
-            combined = self.concat_tier.astype(np.int64)
+            combined = self.tier.astype(np.int64)
             combined += seg_ids * self.n_tiers
             self.mass[:, :] = np.bincount(
                 combined,
@@ -360,7 +398,9 @@ class ProcessArena:
 
         Called at the end of each engine run so processes hold no
         references into a stale arena (results may outlive the engine,
-        e.g. across sweep-worker pickling).
+        e.g. across sweep-worker pickling).  Their fault-path arrays
+        stay where they are, in this arena's fleet arrays, until the
+        next arena re-homes them.
         """
         self.flush_stats()
         for i, proc in enumerate(self.processes):
@@ -435,7 +475,6 @@ class ProcessArena:
             )
             if moves is not None and len(moves) <= self.mass_resync[i]:
                 row = self.mass[i]
-                lo = int(self.seg_starts[i])
                 for _epoch, vpns, old_tiers, new_tier in moves:
                     if vpns.size:
                         moved = probs[vpns]
@@ -443,7 +482,6 @@ class ProcessArena:
                             old_tiers, weights=moved, minlength=row.size
                         )
                         row[new_tier] += float(moved.sum())
-                        self.concat_tier[lo + vpns] = np.int8(new_tier)
                 # Replay accumulates rounding error; a tier whose true
                 # mass reached zero can land a few ulps below it, and a
                 # negative mass poisons the demand fold (contention
@@ -459,13 +497,11 @@ class ProcessArena:
     def _recount_mass(self, i: int, pages: Any, probs: np.ndarray) -> None:
         """Full recount for segment ``i`` (distribution swap, truncated
         journal, or drift-bounding resync)."""
-        lo, hi = int(self.seg_starts[i]), int(self.seg_starts[i + 1])
         self.mass[i] = np.bincount(
             pages.tier.astype(np.int64),
             weights=probs,
             minlength=self.n_tiers,
         )
-        self.concat_tier[lo:hi] = pages.tier
         self._note_mass_update(i, pages.epoch)
         self.mass_resync[i] = MASS_RESYNC_MOVES
 
@@ -493,7 +529,6 @@ class ProcessArena:
             self._repair_mass(i, proc, self.probs_refs[i])
             return
         concat_probs = self.concat_probs
-        concat_tier = self.concat_tier
         seg_starts = self.seg_starts
         replayed = False
         for i, proc in stale:
@@ -525,7 +560,6 @@ class ProcessArena:
                             minlength=row.size,
                         )
                     row[new_tier] += moved
-                    concat_tier[gvpns] = np.int8(new_tier)
             self.mass_resync[i] -= len(moves)
             self._note_mass_update(i, pages.epoch)
             replayed = True
@@ -553,9 +587,13 @@ class ProcessArena:
             row for row in self._rows
             if row[1].target_accesses is not None
         ]
-        self._dynamic_rows = [
-            row for row in self._dynamic_rows if not row[1].finished
-        ]
+        dynamic = []
+        for row in self._dynamic_rows:
+            if row[1].finished:
+                self._due_ns[row[0]] = NEVER
+            else:
+                dynamic.append(row)
+        self._dynamic_rows = dynamic
 
     def _swap_probs(self, i: int, probs: np.ndarray, workload: Any) -> None:
         """Phase change: close segment ``i``'s open ledger run against
@@ -605,16 +643,26 @@ class ProcessArena:
             self._budget_fill = float(quantum_ns)
             self._budget_tainted = False
             self._ss_valid = False
-        for row in self._dynamic_rows:
-            i, proc, workload, pages = row
-            if proc.finished:
-                live_mask[i] = False
-                retired = True
-                continue
-            workload.advance(start_ns)
-            probs = workload.access_distribution()
-            if probs is not refs[i]:
-                self._swap_probs(i, probs, workload)
+        due_ns = self._due_ns
+        if start_ns >= self._next_due_ns:
+            for i in np.flatnonzero(due_ns <= start_ns).tolist():
+                proc = procs[i]
+                if proc.finished:
+                    live_mask[i] = False
+                    retired = True
+                    continue
+                workload = proc.workload
+                workload.advance(start_ns)
+                probs = workload.access_distribution()
+                if probs is not refs[i]:
+                    self._swap_probs(i, probs, workload)
+                # No guarantee (duck-typed, or ``now``): due next quantum.
+                stable_fn = getattr(workload, "stable_until_ns", None)
+                stable = (
+                    start_ns if stable_fn is None else stable_fn(start_ns)
+                )
+                due_ns[i] = NEVER if stable is None else stable
+            self._next_due_ns = int(due_ns.min())
         stale_buf = self._stale_buf
         np.not_equal(self._cells[0], self.mass_epoch, out=stale_buf)
         stale_buf &= live_mask
@@ -647,6 +695,11 @@ class ProcessArena:
         cells = self._cells
         budget, n_vec = self._budget, self._n
         live_mask = self._live_mask
+        if not cells[3].all():
+            raise RuntimeError(
+                "a later arena adopted this arena's processes (or it was "
+                "detached); step them through that arena"
+            )
 
         # ---- Phase 1: gather (vectorised staleness/debt detection) ----------
         if self._gather(start_ns, quantum_ns):
@@ -1232,37 +1285,44 @@ class FaultPlan:
         start_ns: int,
         quantum_ns: int,
     ) -> None:
-        """Fault offsets for every touched page in one pass, then one
-        ``FaultBatch`` per segment in ascending order."""
+        """Resolve every touched page of the quantum in one pass --
+        fault offset, CIT, protection cleared, accessed bit set -- then
+        deliver the fleet's faults in one ``Kernel.deliver_faults``
+        call.  Only the scalar bookkeeping (``n_protected``, the protect
+        epoch and its witness cell, the plan's ``seen``) runs per
+        faulting segment."""
+        arena = self.arena
         seg_starts = self.seg_starts
         seg = np.searchsorted(seg_starts, touched, side="right") - 1
-        rates = n_vec[seg] * self.arena.concat_probs[touched] / quantum_ns
+        rates = n_vec[seg] * arena.concat_probs[touched] / quantum_ns
         offsets = first_access_offsets(
             self.rng.random(touched.size), rates, quantum_ns
         )
         offsets += start_ns
-        all_vpns = touched - seg_starts[seg]
-        bounds = np.flatnonzero(seg[1:] != seg[:-1]) + 1
-        starts = np.r_[0, bounds]
-        seen = self.seen
-        deliver = self.arena.kernel.deliver_faults
-        for i, a, b in zip(
-            seg[starts].tolist(),
-            starts.tolist(),
-            np.r_[bounds, seg.size].tolist(),
-        ):
-            proc = self.processes[i]
-            pages = proc.pages
-            vpns = all_vpns[a:b]
-            fault_ts = offsets[a:b]
-            scan_ts = pages.scan_ts_ns[vpns]
-            cit = fault_ts - scan_ts
-            cit[scan_ts < 0] = -1  # never stamped: no CIT
-            # A segment untouched since the drain stays drained.
-            clean = pages.protect_epoch == seen[i]
-            pages.unprotect_resolved(vpns)
-            if clean:
-                seen[i] = pages.protect_epoch
-            pages.accessed[vpns] = True
-            deliver(proc, FaultBatch(proc.pid, vpns, fault_ts, cit))
-            faults[i] = b - a
+        scan_ts = arena.scan_ts_ns[touched]
+        cit = offsets - scan_ts
+        cit[scan_ts < 0] = -1  # never stamped: no CIT
+        arena.prot_none[touched] = False
+        arena.accessed[touched] = True
+        bounds = np.r_[0, np.flatnonzero(seg[1:] != seg[:-1]) + 1, seg.size]
+        segs = seg[bounds[:-1]]
+        counts = np.diff(bounds)
+        faults[segs] = counts
+        # A segment untouched since the drain stays drained.
+        epochs = self.cells[1]
+        clean = segs[epochs[segs] == self.seen[segs]]
+        processes = [self.processes[i] for i in segs.tolist()]
+        for proc, n in zip(processes, counts.tolist()):
+            proc.pages.note_resolved(n)
+        self.seen[clean] = epochs[clean]
+        arena.kernel.deliver_faults(
+            FleetFaults(
+                processes,
+                bounds,
+                touched - seg_starts[seg],
+                offsets,
+                cit,
+                arena.tier,
+                touched,
+            )
+        )

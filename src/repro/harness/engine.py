@@ -80,7 +80,7 @@ from repro.kernel.kernel import Kernel
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.sim.timeunits import MILLISECOND
-from repro.vm.fault import take_hint_faults
+from repro.vm.fault import FleetFaults, take_hint_faults
 from repro.vm.process import SimProcess
 
 Observer = Callable[["QuantumEngine", int], None]
@@ -569,7 +569,9 @@ class QuantumEngine:
                         cache_remainder=protected[~touched],
                     )
                     n_faults = batch.n_faults
-                    self.kernel.deliver_faults(process, batch)
+                    self.kernel.deliver_faults(
+                        FleetFaults.single(process, batch)
+                    )
 
         # Accounting runs against the *post-fault* placement: fault-path
         # promotions (Linux-NB, TPP, AutoTiering) may have moved pages.

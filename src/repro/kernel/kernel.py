@@ -25,6 +25,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from repro.vm.fault import FleetFaults
 from repro.vm.process import SimProcess
 
 #: per-page cost of one LRU aging pass (reference-bit harvest)
@@ -273,32 +274,45 @@ class Kernel:
         """
         return self.scheduler.next_event_ns()
 
-    def deliver_faults(self, process: SimProcess, fault_batch: Any) -> None:
-        """Account a fault batch and hand it to the policy."""
-        n = fault_batch.n_faults
-        if n == 0:
+    def deliver_faults(self, faults: FleetFaults) -> None:
+        """Account one quantum's hint faults and hand them to the policy.
+
+        Per faulting process, in segment order: the fault and
+        context-switch counters, the fault cost charged as kernel time
+        and, with a hub attached, one ``fault.batch`` event.  Then one
+        ``policy.on_faults`` call for the whole fleet.  Both engines
+        deliver here: the arena once per quantum, the reference engine
+        once per faulting process.
+        """
+        total = faults.n_faults
+        if total == 0:
             return
-        self.stats.hint_faults += n
-        process.stats.hint_faults += n
-        self.stats.context_switches += n
-        process.stats.context_switches += n
-        cost = n * self.machine.spec.effective_fault_cost_ns
-        process.charge_kernel(cost)
-        self.stats.kernel_time_ns += cost
+        stats = self.stats
+        fault_cost = self.machine.spec.effective_fault_cost_ns
+        counts = faults.counts()
+        for process, n in zip(faults.processes, counts):
+            process.stats.hint_faults += n
+            process.stats.context_switches += n
+            cost = n * fault_cost
+            process.charge_kernel(cost)
+            stats.kernel_time_ns += cost
+        stats.hint_faults += total
+        stats.context_switches += total
         obs = self.obs
         if obs is not None:
-            obs.inc("fault.batches")
-            obs.inc("fault.hint_faults", n)
-            obs.inc("fault.cost_ns", cost)
-            obs.observe_many(
-                "fault.cit_ns",
-                fault_batch.cit_ns[fault_batch.cit_ns >= 0],
-            )
-            obs.emit(
-                "fault.batch", self.clock.now, **fault_batch.event_fields()
-            )
+            for process, batch in faults.batches():
+                n = batch.n_faults
+                obs.inc("fault.batches")
+                obs.inc("fault.hint_faults", n)
+                obs.inc("fault.cost_ns", n * fault_cost)
+                obs.observe_many(
+                    "fault.cit_ns", batch.cit_ns[batch.cit_ns >= 0]
+                )
+                obs.emit(
+                    "fault.batch", self.clock.now, **batch.event_fields()
+                )
         if self.policy is not None:
-            self.policy.on_fault(process, fault_batch)
+            self.policy.on_faults(faults)
 
     def __repr__(self) -> str:
         policy = getattr(self.policy, "name", None)

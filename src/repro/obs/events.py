@@ -83,7 +83,10 @@ EVENT_SCHEMA: Dict[str, EventSpec] = {
             module="repro.vm.fault",
             description=(
                 "A batch of NUMA hint faults was taken by one process "
-                "in one quantum and delivered to the tiering policy."
+                "in one quantum and delivered to the tiering policy.  "
+                "Every faulting process of a quantum gets one, all "
+                "before that quantum's policy work: the policy takes "
+                "the whole fleet's faults in one on_faults call."
             ),
             fields=_fields(
                 pid=("id", "faulting process"),

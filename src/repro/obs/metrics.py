@@ -88,7 +88,9 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "full address-space scan passes completed."),
         # -- fault path -------------------------------------------------
         _spec("fault.batches", "counter", "count", "repro.kernel.kernel",
-              "hint-fault batches delivered to the policy."),
+              "hint-fault batches delivered to the policy: one per "
+              "faulting process per quantum, though the policy takes "
+              "a quantum's batches in one on_faults call."),
         _spec("fault.hint_faults", "counter", "count",
               "repro.kernel.kernel", "NUMA hint faults taken."),
         _spec("fault.cost_ns", "counter", "ns", "repro.kernel.kernel",

@@ -37,7 +37,7 @@ SECTIONS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: the policy hooks the ``policy`` row wraps where a policy overrides them
-POLICY_HOOKS = ("on_fault", "on_lru_age", "on_quantum")
+POLICY_HOOKS = ("on_faults", "on_fault", "on_lru_age", "on_quantum")
 
 #: the profile's time source, read on every section entry and exit
 clock = time.perf_counter_ns

@@ -5,7 +5,9 @@ A policy's contract with the kernel:
 * ``attach(kernel)`` -- called once by :meth:`Kernel.set_policy`; the
   policy configures the scanner, watermarks, and its sysctls here.
 * ``start()`` -- called from :meth:`Kernel.start`; schedule daemons here.
-* ``on_fault(process, batch)`` -- NUMA hint faults taken this quantum.
+* ``on_faults(faults)`` -- every NUMA hint fault the fleet took this
+  quantum, in one call; the default hands each faulting process's batch
+  to ``on_fault(process, batch)``, in segment order.
 * ``on_quantum(process, probs, n_accesses, start_ns, quantum_ns)`` --
   per-quantum traffic summary (PEBS-style policies sample from it).
 * ``on_lru_age(process, touched, now_ns)`` -- one LRU aging pass finished
@@ -21,7 +23,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.vm.fault import FaultBatch
+    from repro.vm.fault import FaultBatch, FleetFaults
     from repro.vm.process import SimProcess
 
 
@@ -51,10 +53,8 @@ class PromotionRateLimiter:
         )
         self._last_ns = kernel.clock.now
 
-    def grant(self, requested: int, now_ns: int) -> int:
-        """Take up to ``requested`` pages from the bucket."""
-        if requested < 0:
-            raise ValueError("cannot request negative pages")
+    def available(self, now_ns: int) -> int:
+        """Refill the bucket up to ``now_ns``; the whole pages it holds."""
         if self._pages_per_ns == 0.0:
             raise RuntimeError("rate limiter is not bound to a kernel")
         elapsed = max(now_ns - self._last_ns, 0)
@@ -64,7 +64,13 @@ class PromotionRateLimiter:
             self._tokens + elapsed * self._pages_per_ns,
             self._pages_per_ns * 1e9,
         )
-        granted = min(requested, int(self._tokens))
+        return int(self._tokens)
+
+    def grant(self, requested: int, now_ns: int) -> int:
+        """Take up to ``requested`` pages from the bucket."""
+        if requested < 0:
+            raise ValueError("cannot request negative pages")
+        granted = min(requested, self.available(now_ns))
         self._tokens -= granted
         return granted
 
@@ -101,6 +107,22 @@ class TieringPolicy(ABC):
     ``tests/test_batched_oracle.py::TestPolicyTransientOracle`` enforces
     it for every registered policy against the per-process loops in
     ``tests/transient_oracle.py``.
+
+    Fault-hook contract: the arena resolves every hint fault of a
+    quantum -- CIT, protection cleared, accessed bit set -- for the
+    whole fleet before the kernel delivers any of them, and then makes
+    one ``on_faults`` call with every faulting process, in segment
+    order.  The base ``on_faults`` calls ``on_fault`` once per faulting
+    process in that order, which is what a per-process
+    resolve-then-deliver loop would do, as long as no fault hook touches
+    another process's ``prot_none`` or ``scan_ts_ns`` -- true of every
+    registered policy: AutoTiering's and Memtis's synchronous demotions
+    move tiers only, and Chrono's ``mark_demoted`` re-protection runs
+    from its drain timer and from kswapd, never from ``on_fault``.  A
+    policy that overrides ``on_faults`` (Linux-NB) must equal that
+    per-process loop.  ``tests/test_fault_delivery.py`` enforces both
+    for every registered policy against the per-segment loop in
+    ``tests/arena_oracle.py``.
     """
 
     name: str = "abstract"
@@ -132,6 +154,16 @@ class TieringPolicy(ABC):
 
     def start(self) -> None:
         """Schedule policy daemons (called from :meth:`Kernel.start`)."""
+
+    def on_faults(self, faults: "FleetFaults") -> None:
+        """Handle one quantum's hint faults of the whole fleet.
+
+        Each faulting process's batch goes to :meth:`on_fault`, in
+        segment order.
+        """
+        on_fault = self.on_fault
+        for process, batch in faults.batches():
+            on_fault(process, batch)
 
     def on_fault(self, process: "SimProcess", batch: "FaultBatch") -> None:
         """Handle a batch of NUMA hint faults."""

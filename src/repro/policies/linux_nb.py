@@ -18,6 +18,8 @@ Two pieces of vanilla-kernel behaviour matter:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.kernel.scanner import ScanConfig
 from repro.mem.tier import SLOW_TIER
 from repro.policies.base import PromotionRateLimiter, TieringPolicy
@@ -57,6 +59,32 @@ class LinuxNUMABalancing(TieringPolicy):
         kernel.create_scanner(self._scan_config)
         kernel.sysctl.set("kernel.numa_balancing", 1)
         self.rate_limiter.bind(kernel)
+
+    def on_faults(self, faults) -> None:
+        """Hand :meth:`on_fault` the tenants that can still promote.
+
+        One tier gather counts every faulting process's slow-tier
+        faults.  A process with none would promote nothing and is
+        skipped.  The others go to :meth:`on_fault` in segment order
+        until the bucket is dry or the fast tier is full; from then on
+        each of them would only take what the bucket holds and drop its
+        pages, so the rest are booked with one grant and one sum.  A
+        promotion moves only the promoting process's pages, so the
+        up-front counts stay exact.
+        """
+        kernel = self._require_kernel()
+        slow = faults.tiers() == SLOW_TIER
+        per_proc = np.add.reduceat(slow, faults.bounds[:-1], dtype=np.int64)
+        asking = np.flatnonzero(per_proc).tolist()
+        now = kernel.clock.now
+        fast = kernel.machine.fast
+        for pos, k in enumerate(asking):
+            if fast.free_pages <= 0 or not self.rate_limiter.available(now):
+                rest = int(per_proc[asking[pos:]].sum())
+                self.rate_limiter.grant(rest, now)
+                kernel.stats.promotion_dropped += rest
+                return
+            self.on_fault(faults.processes[k], faults.batch(k))
 
     def on_fault(self, process, batch) -> None:
         """Promote every rate-limited slow-tier fault (MRU order)."""

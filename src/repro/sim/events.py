@@ -98,16 +98,33 @@ class EventScheduler:
         scheduled time, so periodic soft daemons stay drift-free.
 
         Returns ``None`` when no hard event is pending.
+
+        The heap is walked best-first from its root, stepping over soft
+        and cancelled events: a child never precedes its parent, so the
+        first hard event reached is the earliest, and the walk visits
+        only the events that precede it (and their children) instead of
+        the whole queue.
         """
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        horizon: Optional[int] = None
-        for event in self._heap:
-            if event.cancelled or event.soft:
-                continue
-            if horizon is None or event.when_ns < horizon:
-                horizon = event.when_ns
-        return horizon
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+        n = len(heap)
+        if not n:
+            return None
+        root = heap[0]
+        frontier = [(root.when_ns, root.seq, 0)]
+        while frontier:
+            when_ns, _, index = heapq.heappop(frontier)
+            event = heap[index]
+            if not (event.cancelled or event.soft):
+                return when_ns
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < n:
+                    event = heap[child]
+                    heapq.heappush(
+                        frontier, (event.when_ns, event.seq, child)
+                    )
+        return None
 
     def run_due(self, now_ns: int) -> int:
         """Fire every event with ``when_ns <= now_ns``; return count fired.

@@ -9,7 +9,7 @@ accessed/dirty bits, and the paper's per-page flags (``PG_probed``,
 """
 
 from repro.vm.address_space import VMArea, AddressSpace
-from repro.vm.fault import FaultBatch, NUMA_HINT_FAULT
+from repro.vm.fault import FaultBatch, FleetFaults, NUMA_HINT_FAULT
 from repro.vm.hugepage import HUGE_2MB_PAGES, aggregate_by_huge, huge_id
 from repro.vm.page_state import PageState
 from repro.vm.process import ProcessStats, SimProcess
@@ -17,6 +17,7 @@ from repro.vm.process import ProcessStats, SimProcess
 __all__ = [
     "AddressSpace",
     "FaultBatch",
+    "FleetFaults",
     "HUGE_2MB_PAGES",
     "NUMA_HINT_FAULT",
     "PageState",

@@ -10,7 +10,7 @@ Ticking-scan stamped on the page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +71,70 @@ class FaultBatch:
             fault_ts_ns=np.empty(0, dtype=np.int64),
             cit_ns=np.empty(0, dtype=np.int64),
         )
+
+
+@dataclass
+class FleetFaults:
+    """One quantum's hint faults of a whole fleet, grouped by process.
+
+    Process ``processes[k]`` -- in segment order, each listed once and
+    only if it faulted -- took faults ``bounds[k]:bounds[k + 1]`` of the
+    parallel ``vpns``, ``fault_ts_ns`` and ``cit_ns`` arrays (each
+    process's slice is the :class:`FaultBatch` it would get on its own).
+    ``fleet_index[j]`` locates fault ``j``'s page in ``fleet_tier``, an
+    array that aliases every listed process's ``pages.tier`` (the
+    arena's fleet tier array, or the one process's own), so
+    :meth:`tiers` reads every faulted page's current tier in one gather.
+    """
+
+    processes: List["SimProcess"]
+    bounds: np.ndarray
+    vpns: np.ndarray
+    fault_ts_ns: np.ndarray
+    cit_ns: np.ndarray
+    fleet_tier: np.ndarray
+    fleet_index: np.ndarray
+
+    @classmethod
+    def single(cls, process: "SimProcess", batch: FaultBatch) -> "FleetFaults":
+        """One process's batch as a fleet delivery (none if it is empty)."""
+        n = batch.n_faults
+        return cls(
+            processes=[process] if n else [],
+            bounds=np.array([0, n] if n else [0], dtype=np.int64),
+            vpns=batch.vpns,
+            fault_ts_ns=batch.fault_ts_ns,
+            cit_ns=batch.cit_ns,
+            fleet_tier=process.pages.tier,
+            fleet_index=batch.vpns,
+        )
+
+    @property
+    def n_faults(self) -> int:
+        return int(self.vpns.size)
+
+    def counts(self) -> List[int]:
+        """Faults per listed process, in order."""
+        return np.diff(self.bounds).tolist()
+
+    def tiers(self) -> np.ndarray:
+        """The current tier of every faulted page, in fault order."""
+        return self.fleet_tier[self.fleet_index]
+
+    def batch(self, k: int) -> FaultBatch:
+        """Listed process ``k``'s faults as its own batch."""
+        a, b = int(self.bounds[k]), int(self.bounds[k + 1])
+        return FaultBatch(
+            self.processes[k].pid,
+            self.vpns[a:b],
+            self.fault_ts_ns[a:b],
+            self.cit_ns[a:b],
+        )
+
+    def batches(self) -> Iterator[Tuple["SimProcess", FaultBatch]]:
+        """``(process, FaultBatch)`` per listed process, in order."""
+        for k, process in enumerate(self.processes):
+            yield process, self.batch(k)
 
 
 def first_access_offsets(

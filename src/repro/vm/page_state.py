@@ -35,6 +35,12 @@ without knowing about the deferral.
 plus their previous tiers) so the engine can maintain its per-tier
 probability masses incrementally -- O(moved) per migration instead of a
 full O(pages) recount.
+
+The fault path's four arrays (``tier``, ``prot_none``, ``scan_ts_ns``,
+``accessed``) may live in caller-owned storage: the arena re-homes them
+(:meth:`PageState.rehome`) into slices of its fleet arrays, so it
+resolves a whole quantum's hint faults in one pass.  Every method here
+writes through whichever arrays the fields hold.
 """
 
 from __future__ import annotations
@@ -167,8 +173,9 @@ class PageState:
         self._protect_log: Optional[_ProtectLog] = None
         #: optional write-through witness cells (the cross-process
         #: arena's dirty-detection vectors): this process's column of a
-        #: ``(3, n_segs)`` int64 matrix, mirroring ``epoch``,
-        #: ``protect_epoch`` and ``n_protected``.  Every mutation site
+        #: ``(4, n_segs)`` int64 matrix, mirroring ``epoch``,
+        #: ``protect_epoch`` and ``n_protected`` (the fourth cell flags
+        #: the column as attached).  Every mutation site
         #: writes its new value through, so the arena detects stale
         #: segments with one vectorised compare instead of an O(fleet)
         #: Python attribute walk per quantum.  (Keep the attribute count
@@ -210,14 +217,20 @@ class PageState:
     ) -> None:
         """Attach (or detach, with ``None``) arena witness cells.
 
-        ``cells`` is a ``(3, n_segs)`` int64 array; column ``index``
+        ``cells`` is a ``(4, n_segs)`` int64 array; column ``index``
         mirrors ``(epoch, protect_epoch, n_protected)`` from here on
-        (the current values are written immediately).  The mirror is
-        complete by construction: ``epoch`` only changes in
+        (the current values are written immediately), and its last cell
+        reads 1 while this page state stays attached to it: attaching it
+        elsewhere, or detaching it, clears the old column's flag, so the
+        arena that owned the column can tell it lost the segment.  The
+        mirror is complete by construction: ``epoch`` only changes in
         :meth:`move_to_tier` and ``protect_epoch`` / ``n_protected``
-        only change in the four protect/unprotect paths, all of which
-        write through.
+        only change in the protect/unprotect paths, all of which write
+        through.
         """
+        old = self._witness_cells
+        if old is not None:
+            old[3] = 0
         if cells is None:
             self._witness_cells = None
             return
@@ -225,6 +238,32 @@ class PageState:
         column[0] = self.epoch
         column[1] = self.protect_epoch
         column[2] = self.n_protected
+        column[3] = 1
+
+    def rehome(
+        self,
+        tier: np.ndarray,
+        prot_none: np.ndarray,
+        scan_ts_ns: np.ndarray,
+        accessed: np.ndarray,
+    ) -> None:
+        """Move the fault path's four arrays into caller-owned storage.
+
+        Each argument is an ``n_pages`` array of the field's dtype (the
+        arena passes slices of its fleet arrays).  The current values
+        are copied in and the fields rebound to the given arrays, so
+        every later write through this page state lands in the caller's
+        storage and every write there shows here; the previous arrays
+        are released.
+        """
+        for name, home in (
+            ("tier", tier),
+            ("prot_none", prot_none),
+            ("scan_ts_ns", scan_ts_ns),
+            ("accessed", accessed),
+        ):
+            home[...] = getattr(self, name)
+            setattr(self, name, home)
 
     def _sync_protect_witness(self) -> None:
         """Write the protection state through to the witness cells."""
@@ -448,15 +487,26 @@ class PageState:
 
         ``vpns`` must be sorted, unique and all currently protected, so
         the membership search of :meth:`unprotect` is skipped, and the
-        change is not logged: the reference engine's fault resolve passes
-        ``remainder``, the untouched slice of its :meth:`protected_pages`
-        snapshot, which becomes the new snapshot; the arena's fault plan
-        passes none (the snapshot goes stale) and tombstones its own
-        slots instead.
+        change is not logged: the reference engine's fault resolve
+        passes ``remainder``, the untouched slice of its
+        :meth:`protected_pages` snapshot, which becomes the new
+        snapshot.
         """
         self.prot_none[vpns] = False
-        self.n_protected -= int(vpns.size)
-        if vpns.size:
+        self.note_resolved(int(vpns.size), remainder)
+
+    def note_resolved(
+        self, n: int, remainder: Optional[np.ndarray] = None
+    ) -> None:
+        """Book ``n`` faulted pages whose ``prot_none`` bits the caller
+        already cleared (the arena's fault plan clears every segment's
+        in one pass over its fleet array, and tombstones its own slots
+        instead of reading the log): the count, the protect epoch and
+        the witness cells move, the change is not logged, and
+        ``remainder`` becomes the protected-page snapshot (``None``:
+        stale)."""
+        self.n_protected -= n
+        if n:
             self.protect_epoch += 1
             self._sync_protect_witness()
         self._protected_vpns = remainder

@@ -1,5 +1,6 @@
 """The arena's test oracles: a per-segment step that recomputes
-everything every quantum, and a process-by-process fusion-horizon loop.
+everything every quantum, a process-by-process fusion-horizon loop, and
+a segment-by-segment fault resolve and delivery.
 
 ``step_reference(arena, start_ns, quantum_ns)`` executes one
 (macro-)quantum of a :class:`repro.harness.arena.ProcessArena` the
@@ -22,6 +23,17 @@ target in turn -- where the engine answers the witness and debt bounds
 with vector compares over the arena and checks only dynamic and target
 rows.  The two widths must be equal at every step.
 
+``resolve_reference(plan, touched, n_vec, faults, start_ns,
+quantum_ns)`` is the fault plan's resolve and delivery done segment by
+segment: each faulting segment's CIT, unprotect and accessed bits are
+taken just before its own one-process delivery, so each policy hook
+runs before the next segment is resolved.  Production resolves every
+segment in one pass and delivers the fleet's faults in one call; the
+fault-hook contract of ``TieringPolicy`` says the two must agree.
+Tests install it in place of the production resolve::
+
+    monkeypatch.setattr(FaultPlan, "_resolve", resolve_reference)
+
 This module is not collected by pytest (its name does not match
 ``test_*.py``); it is imported by the tests that use it.
 """
@@ -35,6 +47,7 @@ import numpy as np
 
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
+from repro.vm.fault import FaultBatch, FleetFaults, first_access_offsets
 
 
 def step_reference(arena, start_ns: int, quantum_ns: int) -> np.ndarray:
@@ -216,3 +229,52 @@ def fusion_horizon_reference(
         if n <= 1:
             return 1
     return int(n)
+
+
+def resolve_reference(
+    plan,
+    touched: np.ndarray,
+    n_vec: np.ndarray,
+    faults: np.ndarray,
+    start_ns: int,
+    quantum_ns: int,
+) -> None:
+    """Fault offsets for every touched page in one pass, then one
+    one-process delivery per segment in ascending order, each segment
+    resolved just before its own delivery."""
+    seg_starts = plan.seg_starts
+    seg = np.searchsorted(seg_starts, touched, side="right") - 1
+    rates = n_vec[seg] * plan.arena.concat_probs[touched] / quantum_ns
+    offsets = first_access_offsets(
+        plan.rng.random(touched.size), rates, quantum_ns
+    )
+    offsets += start_ns
+    all_vpns = touched - seg_starts[seg]
+    bounds = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+    starts = np.r_[0, bounds]
+    seen = plan.seen
+    deliver = plan.arena.kernel.deliver_faults
+    for i, a, b in zip(
+        seg[starts].tolist(),
+        starts.tolist(),
+        np.r_[bounds, seg.size].tolist(),
+    ):
+        proc = plan.processes[i]
+        pages = proc.pages
+        vpns = all_vpns[a:b]
+        fault_ts = offsets[a:b]
+        scan_ts = pages.scan_ts_ns[vpns]
+        cit = fault_ts - scan_ts
+        cit[scan_ts < 0] = -1  # never stamped: no CIT
+        # A segment untouched since the drain stays drained.
+        clean = pages.protect_epoch == seen[i]
+        pages.unprotect_resolved(vpns)
+        if clean:
+            seen[i] = pages.protect_epoch
+        pages.accessed[vpns] = True
+        deliver(
+            FleetFaults.single(
+                proc, FaultBatch(proc.pid, vpns, fault_ts, cit)
+            )
+        )
+        faults[i] = b - a

@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestQuickGate:
                 (setup.duration_ns, policy_name, dict(workload_kwargs),
                  fast_path, profile)
             )
-            return {"wall_sec": 1.0, "quanta": 140,
+            return {"cpu_sec": 1.0, "quanta": 140,
                     "quanta_per_sec": next(rates)}
 
         monkeypatch.setattr(bench, "time_engine", fake_time_engine)
@@ -179,6 +180,62 @@ class TestQuickGate:
             monkeypatch, tmp_path, [600.0, 2000.0, 650.0, 2000.0, 690.0]
         )
         assert payload["after"]["quanta_per_sec"] == 690.0
+        assert code == 1
+
+
+class TestQuickGateClock:
+    """The quanta/sec gate reads the process CPU clock: on scripted
+    clocks, a run the host stalls for 10 wall seconds still measures
+    its CPU time, so the stall alone cannot fail the gate."""
+
+    QUANTA = 140
+
+    def _gate(self, monkeypatch, tmp_path, cpu_per_run):
+        clocks = {"wall": 0.0, "cpu": 0.0}
+
+        def fake_run_experiment(processes, policy, config, fast_path,
+                                profile):
+            clocks["wall"] += 10.0  # the host stalls the run
+            clocks["cpu"] += cpu_per_run
+            return SimpleNamespace(
+                engine=SimpleNamespace(quanta_run=self.QUANTA),
+                throughput_per_sec=1.0, fmar=0.5, profile=None,
+            )
+
+        monkeypatch.setattr(
+            bench, "time",
+            SimpleNamespace(
+                perf_counter=lambda: clocks["wall"],
+                process_time=lambda: clocks["cpu"],
+            ),
+        )
+        monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+        monkeypatch.setattr(bench, "build_fleet", lambda *a, **k: [])
+        for gate in ("run_quick_sweep_gate", "run_quick_arena_gate",
+                     "run_quick_trace_gate"):
+            monkeypatch.setattr(bench, gate, lambda baseline: ({}, True))
+        monkeypatch.setattr(
+            bench, "run_quick_fusion_gate",
+            lambda baseline, duration_ns: ({}, True),
+        )
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(TestQuickGate.BASELINE))
+        out = tmp_path / "quick.json"
+        code = bench.main([
+            "--quick", "--baseline", str(baseline), "--out", str(out),
+        ])
+        return code, json.loads(out.read_text())
+
+    def test_wall_clock_stall_alone_passes(self, monkeypatch, tmp_path):
+        # 140 quanta in 0.1 CPU s: 1,400 q/s against a 700 q/s floor,
+        # where the stalled wall clock would read 14 q/s.
+        code, payload = self._gate(monkeypatch, tmp_path, 0.1)
+        assert payload["after"]["quanta_per_sec"] == pytest.approx(1400.0)
+        assert code == 0
+
+    def test_slow_cpu_time_still_fails(self, monkeypatch, tmp_path):
+        code, payload = self._gate(monkeypatch, tmp_path, 0.4)
+        assert payload["after"]["quanta_per_sec"] == pytest.approx(350.0)
         assert code == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.timeunits import SECOND
-from repro.vm.fault import FaultBatch
+from repro.vm.fault import FaultBatch, FleetFaults
 from repro.vm.process import SimProcess
 from tests.conftest import make_kernel, make_process
 
@@ -72,8 +72,9 @@ class RecordingPolicy:
     def start(self):
         self.started = True
 
-    def on_fault(self, process, batch):
-        self.faults.append((process.pid, batch.n_faults))
+    def on_faults(self, faults):
+        for process, batch in faults.batches():
+            self.faults.append((process.pid, batch.n_faults))
 
     def on_lru_age(self, process, touched, now_ns):
         self.ages.append((process.pid, now_ns))
@@ -234,7 +235,7 @@ class TestPolicyPlumbing:
             fault_ts_ns=np.array([10, 20]),
             cit_ns=np.array([5, 5]),
         )
-        kernel.deliver_faults(process, batch)
+        kernel.deliver_faults(FleetFaults.single(process, batch))
         assert kernel.stats.hint_faults == 2
         assert process.stats.hint_faults == 2
         assert process.pending_kernel_ns > 0
@@ -245,7 +246,9 @@ class TestPolicyPlumbing:
         kernel.set_policy(policy)
         process = make_process()
         kernel.register_process(process)
-        kernel.deliver_faults(process, FaultBatch.empty(process.pid))
+        kernel.deliver_faults(
+            FleetFaults.single(process, FaultBatch.empty(process.pid))
+        )
         assert policy.faults == []
 
 

@@ -23,6 +23,7 @@ from repro.obs.profile import (
 )
 from repro.policies.autotiering import AutoTieringPolicy
 from repro.policies.base import TieringPolicy
+from repro.policies.linux_nb import LinuxNUMABalancing
 from repro.policies.memtis import MemtisPolicy
 from repro.policies.registry import policy_names
 from repro.sim.events import EventScheduler
@@ -220,7 +221,13 @@ class TestInstallIsReversible:
             (FlexMemPolicy, "on_fault"), (MemtisPolicy, "on_quantum"),
         ]
         assert policy_hooks(_TimerPolicy) == []
-        assert POLICY_HOOKS == ("on_fault", "on_lru_age", "on_quantum")
+        assert policy_hooks(LinuxNUMABalancing) == [
+            (LinuxNUMABalancing, "on_faults"),
+            (LinuxNUMABalancing, "on_fault"),
+        ]
+        assert POLICY_HOOKS == (
+            "on_faults", "on_fault", "on_lru_age", "on_quantum",
+        )
 
 
 class TestTable:

@@ -17,7 +17,7 @@ from repro.policies import (
 from repro.policies.base import PromotionRateLimiter
 from repro.policies.autotiering import _popcount8
 from repro.sim.timeunits import SECOND
-from repro.vm.fault import FaultBatch
+from repro.vm.fault import FaultBatch, FleetFaults
 from tests.conftest import make_kernel, make_process
 
 
@@ -28,6 +28,11 @@ def attach(policy, fast_pages=64, slow_pages=512, n_pages=128):
     kernel.allocate_initial_placement()
     kernel.set_policy(policy)
     return kernel, process
+
+
+def fleet_faults(process, vpns):
+    """One process's faults as the kernel delivers them."""
+    return FleetFaults.single(process, fault_batch(process, vpns))
 
 
 def fault_batch(process, vpns, cits=None, now=1000):
@@ -99,7 +104,7 @@ class TestLinuxNB:
         kernel.migration.migrate(process, fast_vpns, SLOW_TIER)
         slow_vpns = process.pages.pages_in_tier(SLOW_TIER)[:4]
         kernel.clock.advance(SECOND)
-        policy.on_fault(process, fault_batch(process, slow_vpns))
+        policy.on_faults(fleet_faults(process, slow_vpns))
         assert (process.pages.tier[slow_vpns] == FAST_TIER).all()
 
     def test_ignores_fast_tier_faults(self):
@@ -107,7 +112,7 @@ class TestLinuxNB:
         kernel, process = attach(policy)
         fast_vpns = process.pages.pages_in_tier(FAST_TIER)[:2]
         kernel.clock.advance(SECOND)
-        policy.on_fault(process, fault_batch(process, fast_vpns))
+        policy.on_faults(fleet_faults(process, fast_vpns))
         assert kernel.stats.pgpromote == 0
 
     def test_rate_limit_drops_excess(self):
@@ -120,7 +125,7 @@ class TestLinuxNB:
         promoted_before = kernel.stats.pgpromote
         slow_vpns = process.pages.pages_in_tier(SLOW_TIER)[:50]
         kernel.clock.advance(SECOND)
-        policy.on_fault(process, fault_batch(process, slow_vpns))
+        policy.on_faults(fleet_faults(process, slow_vpns))
         assert kernel.stats.pgpromote - promoted_before <= 3
         assert kernel.stats.promotion_dropped > 0
 
@@ -130,7 +135,7 @@ class TestLinuxNB:
         kernel.machine.fast.allocate(kernel.machine.fast.free_pages)
         slow_vpns = process.pages.pages_in_tier(SLOW_TIER)[:8]
         kernel.clock.advance(SECOND)
-        policy.on_fault(process, fault_batch(process, slow_vpns))
+        policy.on_faults(fleet_faults(process, slow_vpns))
         assert kernel.stats.pgdemote == 0
 
 

@@ -429,8 +429,9 @@ class TestArenaMassRepairProperties:
                 int(arena.seg_starts[i]),
                 int(arena.seg_starts[i + 1]),
             )
+            assert np.shares_memory(arena.tier[lo:hi], process.pages.tier)
             np.testing.assert_array_equal(
-                arena.concat_tier[lo:hi], process.pages.tier
+                arena.tier[lo:hi], process.pages.tier
             )
 
 

@@ -1,6 +1,8 @@
 """Tests for the virtual clock and the event scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventScheduler
@@ -149,6 +151,41 @@ class TestNextEventNs:
         sched.schedule(9, lambda t: None)
         first.cancel()
         assert sched.next_event_ns() == 9
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 50),
+                st.sampled_from(["hard", "soft", "cancelled"]),
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_heap_walk_matches_linear_scan(self, events, fire_until):
+        """The best-first walk returns what a scan of every pending
+        event returns, on random heaps of hard, soft and cancelled
+        events, before and after firing a prefix."""
+        sched = EventScheduler()
+        for when, kind in events:
+            event = sched.schedule(
+                when, lambda t: None, soft=kind == "soft"
+            )
+            if kind == "cancelled":
+                event.cancel()
+
+        def linear_scan():
+            hard = [
+                e.when_ns
+                for e in sched._heap
+                if not (e.cancelled or e.soft)
+            ]
+            return min(hard) if hard else None
+
+        assert sched.next_event_ns() == linear_scan()
+        sched.run_due(fire_until)
+        assert sched.next_event_ns() == linear_scan()
 
     def test_soft_events_still_fire_with_scheduled_time(self):
         """Deferral changes *when* a soft callback runs, not its argument."""
