@@ -115,9 +115,10 @@ import time
 
 import numpy as np
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench import hostspeed  # noqa: E402
 
 from repro.harness.engine import QuantumEngine  # noqa: E402
 from repro.harness.experiments import (  # noqa: E402
@@ -385,27 +386,32 @@ def time_engine(setup, policy_name, workload_kwargs, fast_path, profile):
 def time_engine_median(setup, policy_name, workload_kwargs):
     """Median of ``ENGINE_RUNS`` unprofiled default-engine runs of one
     config: ``{cpu_sec, quanta, quanta_per_sec}`` of the median run,
-    plus every run's quanta/sec.
+    every run's quanta/sec, and ``host_slowdown``: the CPU-clock
+    slowdown of :mod:`perfbench.hostspeed` samples taken between the
+    runs (a quarter as long as them, as perfbench samples), 1.0 at the
+    probe's nominal speed.
 
     Both sides of the --quick quanta/sec gate come from here, at the
     same config and duration, so the gate compares like with like.
     """
-    runs = sorted(
-        (
+    host = hostspeed.HostSpeed()
+    runs = []
+    for _ in range(ENGINE_RUNS):
+        runs.append(
             time_engine(
                 setup, policy_name, workload_kwargs,
                 fast_path=True, profile=False,
             )
-            for _ in range(ENGINE_RUNS)
-        ),
-        key=lambda run: run["quanta_per_sec"],
-    )
+        )
+        host.keep_up(runs[-1]["cpu_sec"])
+    runs.sort(key=lambda run: run["quanta_per_sec"])
     median = runs[len(runs) // 2]
     return {
         "cpu_sec": median["cpu_sec"],
         "quanta": median["quanta"],
         "quanta_per_sec": median["quanta_per_sec"],
         "runs_quanta_per_sec": [run["quanta_per_sec"] for run in runs],
+        "host_slowdown": host.slowdown()[1],
     }
 
 
@@ -1637,19 +1643,32 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
     optimized = time_engine_median(
         setup, config["policy"], workload_kwargs
     )
-    measured = optimized["quanta_per_sec"]
-    print(f"  measured: {measured:8.1f} quanta/sec")
+    print(
+        f"  measured: {optimized['quanta_per_sec']:8.1f} quanta/sec "
+        f"(host slowdown {optimized['host_slowdown']:.3f})"
+    )
 
     quanta_ok = True
+    gated = None
     if committed is not None:
-        floor = QUICK_GATE_FRACTION * committed
+        measured, reference = optimized["quanta_per_sec"], committed
+        unit = "quanta/sec"
+        slowdown = baseline["after"].get("host_slowdown")
+        if slowdown is not None:
+            # Host contention slows the program and the probe alike:
+            # compare both sides at nominal host speed.
+            measured *= optimized["host_slowdown"]
+            reference *= float(slowdown)
+            unit += " at nominal host speed"
+        gated = [measured, reference]
+        floor = QUICK_GATE_FRACTION * reference
         print(
-            f"  baseline: {committed:8.1f} quanta/sec "
+            f"  gated:    {measured:8.1f} against {reference:.1f} {unit} "
             f"(floor {floor:.1f} = {QUICK_GATE_FRACTION:.0%})"
         )
         if measured < floor:
             print(
-                f"  FAIL: {measured:.1f} quanta/sec is below the "
+                f"  FAIL: {measured:.1f} {unit} is below the "
                 f"{QUICK_GATE_FRACTION:.0%} regression floor"
             )
             quanta_ok = False
@@ -1684,6 +1703,7 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
         "provenance": this_host,
         "after": optimized,
         "baseline_quanta_per_sec": committed,
+        "gated_quanta_per_sec": gated,
         "gate_fraction": QUICK_GATE_FRACTION,
         "sweep_gate": sweep_section,
         "fusion_gate": fusion_section,

@@ -28,17 +28,15 @@ One quantum (:meth:`ProcessArena.step`) is then:
    and indebted segments are found by vector compares.  Stale rows are
    repaired from the page-state move journal (O(moved)).  Only
    *dynamic* rows get ``advance`` / ``access_distribution`` calls, and
-   only once their time has come: a calendar vector holds each one's
-   ``stable_until_ns`` from its last visit.  *Static* rows --
+   only once their time has come: the row calendar holds each one's
+   ``stable_until_ns`` from its last visit (its minimum over live rows
+   is also the fusion horizon's stability bound).  *Static* rows --
    stationary :class:`~repro.workloads.base.Workload` subclasses whose
    distribution object never changes -- are never visited (the calls
    are no-ops for them),
-2. *dirty-row pricing*: ``mean_lat = sum_t mass[:, t] * (rf *
-   read_lat[t] + wf * write_lat[t])`` refolds through
-   :func:`price_fold` only for rows whose mass, profile scalars or tier
-   latencies changed since their last fold (a per-row dirty bit rides
-   every mass update), then ``n = max(budget, 0) / (mean_lat + delay)``
-   over all segments at once,
+2. *pricing*: one fold over every row, ``mean_lat = sum_t mass[:, t]
+   * (rf * read_lat[t] + wf * write_lat[t])`` in tier order, then ``n =
+   max(budget, 0) / (mean_lat + delay)`` over all segments at once,
 3. one *aggregate fault draw* from the arena's :class:`FaultPlan`,
    which holds a slot for every protected page that can fault
    (positive access probability): active (hot) slots of every segment
@@ -71,11 +69,13 @@ One quantum (:meth:`ProcessArena.step`) is then:
 6. one *demand fold*: per-tier byte demand summed over segments.
 
 A *steady-state quantum cache* spans phases 2-6: while no input changed
-since the previous quantum -- no repair, debt drain, reprice,
+since the previous quantum -- no repair, debt drain, latency change,
 retirement, distribution swap, bandwidth change or different quantum
 length -- the cached ``n`` vector, stat products, latency counts and
 demand are bitwise what recomputation would produce, so the recompute
-dispatches are skipped.
+dispatches are skipped.  One flag says so, and only pricing arms it: a
+fault-path repair made after pricing clears it until the next step
+prices again.
 
 Equivalence contract (``docs/SIMULATION.md`` section 7): the step
 executes the same IEEE-754 operations and consumes the same RNG stream
@@ -112,34 +112,6 @@ FAULT_DORMANT_MAX_TOUCH: float = 0.02
 
 #: calendar entry of a row that is never due again
 NEVER: int = int(np.iinfo(np.int64).max)
-
-
-def price_fold(
-    mass: np.ndarray,
-    rf: np.ndarray,
-    wf: np.ndarray,
-    read_lats: np.ndarray,
-    write_lats: np.ndarray,
-    idx: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Masked pricing fold: rewrite ``out[idx]`` with
-    ``sum_t mass[idx, t] * (rf[idx]*read[t] + wf[idx]*write[t])``.
-
-    Per element the operation sequence is exactly the full-arena fold's
-    (``rf*read``, ``wf*write``, add, multiply by mass, accumulate in
-    tier order), so a masked refold of an unchanged row reproduces the
-    cached value bit for bit.
-    """
-    sub_rf = rf[idx]
-    sub_wf = wf[idx]
-    acc = np.zeros(idx.shape[0], dtype=np.float64)
-    for tier_id in range(read_lats.shape[0]):
-        coef = sub_rf * read_lats[tier_id]
-        coef += sub_wf * write_lats[tier_id]
-        coef *= mass[idx, tier_id]
-        acc += coef
-    out[idx] = acc
 
 
 class ProcessArena:
@@ -206,6 +178,7 @@ class ProcessArena:
         self._budget = np.zeros(n_segs, dtype=np.float64)
         self._mean_lat = np.zeros(n_segs, dtype=np.float64)
         self._per_cost = np.zeros(n_segs, dtype=np.float64)
+        self._coef = np.zeros(n_segs, dtype=np.float64)
         self._n = np.zeros(n_segs, dtype=np.float64)
         self._faults = np.zeros(n_segs, dtype=np.float64)
         self._tmp = np.zeros(n_segs, dtype=np.float64)
@@ -250,27 +223,22 @@ class ProcessArena:
         self._acc_fast = np.zeros(n_segs, dtype=np.float64)
         self._acc_user = np.zeros(n_segs, dtype=np.float64)
         self._acc_stall = np.zeros(n_segs, dtype=np.float64)
-        #: monotonic re-pricing counters, drained by the engine's obs
-        #: block through :meth:`take_reprice_counters`
-        self.repriced_segments = 0
-        self.reprice_skipped_segments = 0
-        # Pricing caches: mean_lat / per_cost persist across quanta and
-        # only dirty rows refold.  The latency tables are value-compared
-        # (the engine rebuilds the list objects every step).
-        self._price_dirty = np.ones(n_segs, dtype=bool)
-        self._lat_read_cache: Optional[List[float]] = None
-        self._lat_write_cache: Optional[List[float]] = None
-        self._read_lat_arr = np.zeros(n_tiers, dtype=np.float64)
-        self._write_lat_arr = np.zeros(n_tiers, dtype=np.float64)
         # Steady-state quantum cache: when no input of the pricing /
         # accumulation phases changed since the previous quantum, the
         # cached vectors are bitwise what recomputation would produce,
-        # so the recompute dispatches are skipped.  Any mutation -- mass
-        # repair, debt drain, reprice, retirement, distribution swap,
-        # latency/bandwidth change, or a different quantum length --
-        # drops the flag and the next step recomputes everything into
-        # the caches.
+        # so the recompute dispatches are skipped.  Pricing arms the
+        # flag; any mutation -- mass repair, debt drain, retirement,
+        # distribution swap, latency change, or a different quantum
+        # length -- drops it, and the next step prices and recomputes
+        # everything into the caches.  The latency tables are
+        # value-compared (the engine rebuilds the list objects every
+        # step); a bandwidth change recomputes the folds alone.
         self._ss_valid = False
+        #: whether the last step was served by the cache (counted by the
+        #: engine's obs block as ``arena.cached_steps``)
+        self.cached_step = False
+        self._lat_read_cache: Optional[List[float]] = None
+        self._lat_write_cache: Optional[List[float]] = None
         self._budget_fill = -1.0
         self._budget_tainted = True
         self._fast_prod = np.zeros(n_segs, dtype=np.float64)
@@ -278,11 +246,6 @@ class ProcessArena:
         self._stall_prod = np.zeros(n_segs, dtype=np.float64)
         self._last_reads = np.zeros(n_segs, dtype=np.float64)
         self._bwm_cache = np.full(n_tiers, np.nan, dtype=np.float64)
-        # Per-(tier, read/write) all-zero flags for the latency fold:
-        # counts are non-negative, so adding an all-zero vector is a
-        # bitwise no-op the fold may skip (the flush skips zero counts
-        # regardless).  Refreshed whenever the fold recomputes.
-        self._fold_zero = [False] * (2 * n_tiers)
         #: witness cells: column ``i`` mirrors segment ``i``'s
         #: ``(epoch, protect_epoch, n_protected)`` (written through by its
         #: ``PageState``), so staleness and fault eligibility are vector
@@ -307,29 +270,25 @@ class ProcessArena:
         self._attach_ledger_sources()
         #: the fleet-wide fault plan (released by :meth:`detach`)
         self.plan = FaultPlan(self)
-        #: rows that still need ``advance`` / ``access_distribution``
-        #: calls and the fusion horizon's stability check: everything but
-        #: stationary :class:`Workload` subclasses with an
-        #: identity-stable distribution and no stability bound, for which
-        #: all three are no-ops
-        self._dynamic_rows = [
-            row for row in self._rows
-            if not (
-                isinstance(row[2], Workload)
-                and type(row[2]).advance is Workload.advance
-                and type(row[2]).stable_until_ns
-                is Workload.stable_until_ns
-                and row[2].access_distribution() is self.probs_refs[row[0]]
-            )
-        ]
-        #: the dynamic rows' calendar: the quantum start from which each
-        #: row's distribution may change -- its ``stable_until_ns`` at
-        #: its last visit (the fusion horizon's contract) -- so a step
-        #: visits only the rows whose time has come.  Static, retired
-        #: and stationary rows read ``NEVER``; a dynamic row is due at
-        #: the first step.
+        #: the row calendar: the quantum start from which each row's
+        #: distribution may change -- its ``stable_until_ns`` at its last
+        #: visit -- so a step visits only the rows whose time has come,
+        #: and the fusion horizon's stability bound is its minimum over
+        #: live rows.  Static rows (stationary :class:`Workload`
+        #: subclasses with an identity-stable distribution, for which
+        #: ``advance`` and ``access_distribution`` are no-ops) and
+        #: retired ones read ``NEVER``; every other row is due at the
+        #: first step.
         self._due_ns = np.full(n_segs, NEVER, dtype=np.int64)
-        self._due_ns[[row[0] for row in self._dynamic_rows]] = -NEVER
+        for i, _proc, workload, _pages in self._rows:
+            if not (
+                isinstance(workload, Workload)
+                and type(workload).advance is Workload.advance
+                and type(workload).stable_until_ns
+                is Workload.stable_until_ns
+                and workload.access_distribution() is self.probs_refs[i]
+            ):
+                self._due_ns[i] = -NEVER
         #: a lower bound of ``_due_ns``: a step before it visits no row
         self._next_due_ns = int(self._due_ns.min(initial=NEVER))
         if not self._live_mask.all():
@@ -457,12 +416,6 @@ class ProcessArena:
     # ------------------------------------------------------------------
     # Tier-mass maintenance
     # ------------------------------------------------------------------
-    def _note_mass_update(self, i: int, epoch: int) -> None:
-        """Record row ``i``'s new mass epoch; any mass change dirties
-        the row's price for the next fold."""
-        self.mass_epoch[i] = epoch
-        self._price_dirty[i] = True
-
     def _repair_mass(self, i: int, proc: Any, probs: np.ndarray) -> None:
         pages = proc.pages
         if self.probs_refs[i] is probs and self.mass_epoch[i] != -1:
@@ -490,7 +443,7 @@ class ProcessArena:
                 # removes drift.
                 np.maximum(row, 0.0, out=row)
                 self.mass_resync[i] -= len(moves)
-                self._note_mass_update(i, pages.epoch)
+                self.mass_epoch[i] = pages.epoch
                 return
         self._recount_mass(i, pages, probs)
 
@@ -502,7 +455,7 @@ class ProcessArena:
             weights=probs,
             minlength=self.n_tiers,
         )
-        self._note_mass_update(i, pages.epoch)
+        self.mass_epoch[i] = pages.epoch
         self.mass_resync[i] = MASS_RESYNC_MOVES
 
     def _repair_mass_many(self, stale: List[Any]) -> None:
@@ -561,7 +514,7 @@ class ProcessArena:
                         )
                     row[new_tier] += moved
             self.mass_resync[i] -= len(moves)
-            self._note_mass_update(i, pages.epoch)
+            self.mass_epoch[i] = pages.epoch
             replayed = True
         if replayed:
             # Same drift clamp as the sequential replay (see
@@ -580,20 +533,16 @@ class ProcessArena:
         zeroes them out of every pricing vector."""
         self._ss_valid = False
         self.flush_stats()
-        self._rows = [
-            row for row in self._rows if not row[1].finished
-        ]
-        self._target_rows = [
-            row for row in self._rows
-            if row[1].target_accesses is not None
-        ]
-        dynamic = []
-        for row in self._dynamic_rows:
+        rows = []
+        for row in self._rows:
             if row[1].finished:
                 self._due_ns[row[0]] = NEVER
             else:
-                dynamic.append(row)
-        self._dynamic_rows = dynamic
+                rows.append(row)
+        self._rows = rows
+        self._target_rows = [
+            row for row in rows if row[1].target_accesses is not None
+        ]
 
     def _swap_probs(self, i: int, probs: np.ndarray, workload: Any) -> None:
         """Phase change: close segment ``i``'s open ledger run against
@@ -608,7 +557,7 @@ class ProcessArena:
         self.probs_refs[i] = probs
         self._wf[i] = workload.write_fraction
         self._delay[i] = workload.delay_ns_per_access
-        self._note_mass_update(i, -1)  # force recount
+        self.mass_epoch[i] = -1  # force recount
         # The plan's slots carry the old distribution's rates.
         self.plan.resync[i] = True
 
@@ -687,8 +636,8 @@ class ProcessArena:
         """Execute one (macro-)quantum for every process; returns the
         fleet's per-tier byte demand.
 
-        O(dynamic + dirty rows) Python work per quantum, vectorised over
-        the witness cells for everything else.
+        O(due rows) Python work per quantum, vectorised over the witness
+        cells for everything else.
         """
         engine = self.engine
         refs = self.probs_refs
@@ -705,11 +654,12 @@ class ProcessArena:
         if self._gather(start_ns, quantum_ns):
             self._retire_rows()
         if not self._rows:
+            self.cached_step = False
             self._demand_out.fill(0.0)
             return self._demand_out
         retired = False
 
-        # ---- Phase 2: pricing (dirty rows only) -----------------------------
+        # ---- Phase 2: pricing -----------------------------------------------
         read_lats = engine._read_lat_list
         write_lats = engine._write_lat_list
         if (
@@ -721,36 +671,24 @@ class ProcessArena:
             # no migration traffic flows.
             self._lat_read_cache = list(read_lats)
             self._lat_write_cache = list(write_lats)
-            self._read_lat_arr[:] = read_lats
-            self._write_lat_arr[:] = write_lats
-            self._price_dirty[:] = True
-        wf, rf, delay = self._wf, self._rf, self._delay
-        if not self._ss_valid:
-            # ``rf`` only drifts with ``wf``, and every ``wf`` writer
-            # (swap, retire, rebuild) drops the steady-state flag.
-            np.subtract(1.0, wf, out=rf)
-        mass = self.mass
-        mean_lat, per_cost = self._mean_lat, self._per_cost
-        dirty = self._price_dirty
-        refold = np.flatnonzero(dirty)
-        if refold.size:
-            # Masked refold, same per-element FP sequence as a full fold:
-            # cached rows equal recomputed rows bit for bit.
-            price_fold(
-                mass,
-                rf,
-                wf,
-                self._read_lat_arr,
-                self._write_lat_arr,
-                refold,
-                mean_lat,
-            )
-            per_cost[refold] = mean_lat[refold] + delay[refold]
-            dirty[refold] = False
-            self.repriced_segments += int(refold.size)
             self._ss_valid = False
-        self.reprice_skipped_segments += self.n_segs - int(refold.size)
-        if not self._ss_valid:
+        wf, rf, delay = self._wf, self._rf, self._delay
+        mass = self.mass
+        mean_lat = self._mean_lat
+        cached = self._ss_valid
+        if not cached:
+            # One fold over every row, in the oracle's per-element order:
+            # rf*read + wf*write, times mass, accumulated in tier order.
+            np.subtract(1.0, wf, out=rf)
+            coef, tmp = self._coef, self._tmp
+            mean_lat.fill(0.0)
+            for tier_id in range(self.n_tiers):
+                np.multiply(rf, read_lats[tier_id], out=coef)
+                np.multiply(wf, write_lats[tier_id], out=tmp)
+                coef += tmp
+                coef *= mass[:, tier_id]
+                mean_lat += coef
+            per_cost = np.add(mean_lat, delay, out=self._per_cost)
             np.maximum(budget, 0.0, out=budget)
             n_vec.fill(0.0)
             np.divide(
@@ -766,6 +704,10 @@ class ProcessArena:
             np.sum(mass, axis=1, out=zm)
             np.sign(zm, out=zm)
             np.multiply(n_vec, zm, out=n_vec)
+            # Pricing alone arms the cache.  A fault-path repair below
+            # clears it: the folds then use the repaired mass with this
+            # pre-fault ``n``, so the next step must price again.
+            self._ss_valid = True
 
         # ---- Phase 3: fault draw --------------------------------------------
         faults = self._faults
@@ -776,7 +718,10 @@ class ProcessArena:
         # of the open run (zero for finished/stalled segments).
         self.open_n += n_vec
         bwm = self.kernel.machine.write_bw_multiplier
-        if self._ss_valid and np.array_equal(bwm, self._bwm_cache):
+        self.cached_step = (
+            cached and self._ss_valid and np.array_equal(bwm, self._bwm_cache)
+        )
+        if self.cached_step:
             # Steady state: every product below is a function of
             # unchanged inputs, so the cached vectors equal what the
             # recompute would produce bit for bit.
@@ -799,7 +744,6 @@ class ProcessArena:
             np.multiply(mass, weight, out=self._demand_rows)
             np.sum(self._demand_rows, axis=0, out=self._demand_out)
             np.copyto(self._bwm_cache, bwm)
-            self._ss_valid = True
         # Four vector adds instead of one record_accesses call per
         # process (one addition per quantum each, never reassociated);
         # flush_stats folds the totals into each process's stats at
@@ -830,14 +774,6 @@ class ProcessArena:
         if retired:
             self._retire_rows()
         return self._demand_out
-
-    def take_reprice_counters(self) -> tuple:
-        """``(repriced, skipped)`` segment-repricing deltas since the
-        last call (the engine's obs block turns these into counters)."""
-        out = (self.repriced_segments, self.reprice_skipped_segments)
-        self.repriced_segments = 0
-        self.reprice_skipped_segments = 0
-        return out
 
     # ------------------------------------------------------------------
     def _fault_phase(self, start_ns: int, quantum_ns: int) -> bool:
@@ -889,7 +825,6 @@ class ProcessArena:
         write_keys = engine._write_keys
         positive = self._positive
         reads, writes = self._reads, self._writes
-        fold_zero = self._fold_zero
         if recompute:
             tier_counts = self._tier_counts
             np.multiply(self.mass, n_vec[:, None], out=tier_counts)
@@ -902,15 +837,6 @@ class ProcessArena:
             reads *= positive
             np.multiply(tier_counts, self._wf[:, None], out=writes)
             writes *= positive
-            any_tier = positive.any(axis=0)
-            for tier_id in range(self.n_tiers):
-                empty = not any_tier[tier_id]
-                fold_zero[2 * tier_id] = empty or not reads[
-                    :, tier_id
-                ].any()
-                fold_zero[2 * tier_id + 1] = empty or not writes[
-                    :, tier_id
-                ].any()
         last_tier = self.n_tiers - 1
         last_reads = reads[:, last_tier]
         if have_faults:
@@ -936,20 +862,19 @@ class ProcessArena:
             tier_reads = (
                 last_reads if tier_id == last_tier else reads[:, tier_id]
             )
-            for key, counts, zero in (
-                (read_keys[tier_id], tier_reads, fold_zero[2 * tier_id]),
-                (
-                    write_keys[tier_id],
-                    writes[:, tier_id],
-                    fold_zero[2 * tier_id + 1],
-                ),
+            for key, counts, column in (
+                (read_keys[tier_id], tier_reads, reads[:, tier_id]),
+                (write_keys[tier_id], writes[:, tier_id], writes[:, tier_id]),
             ):
-                if zero:
-                    # Counts are non-negative, so an all-zero vector
-                    # adds +0.0 everywhere: a bitwise no-op.
-                    continue
                 vec = store.get(key)
                 if vec is None:
+                    # A key enters the store with its first class that
+                    # has traffic (before the fault adjustment): the
+                    # store's key order is the order the flush adds the
+                    # mixture's totals in.  Counts are non-negative, so
+                    # adding a zero vector to a stored key is a no-op.
+                    if not column.any():
+                        continue
                     vec = store[key] = np.zeros(
                         self.n_segs, dtype=np.float64
                     )

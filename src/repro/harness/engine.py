@@ -26,7 +26,7 @@ There are two stepping paths and no others:
   over a cross-process page arena (:mod:`repro.harness.arena`), one
   process or many: a gather pass vectorised over write-through witness
   cells, tier masses repaired in O(moved) from the page-state move
-  journal, pricing refolded only for dirty rows, one aggregate fault
+  journal, one pricing fold over every row, one aggregate fault
   draw from a fleet-wide fault plan (touches and fault times on the
   dedicated ``engine.arena`` stream), one concatenated ledger account,
   lazily flushed per-process stats, one latency fold and one demand
@@ -60,12 +60,13 @@ preserves per-quantum stepping for equivalence gating.  Fusion needs
 the arena: the reference engine always steps per quantum.  When fusion
 never engages the trajectory is bit-identical to the reference mode:
 the horizon check consumes no RNG and a one-quantum step executes the
-exact per-quantum path.  The witness and debt bounds are vector
-compares over the arena's cells, and only its dynamic rows (stability,
-distribution identity) and target rows (access target, counting the
-arena's unflushed accesses) are checked one by one.  With a hub
-attached, every step counts the bound that set its width
-(``engine.fusion_limited_<bound>``).
+exact per-quantum path.  The witness, debt and stability bounds are
+vector reads of the arena (its cells and its row calendar), and only
+its target rows (access target, counting the arena's unflushed
+accesses) are checked one by one.  With a hub attached, every step
+counts the bound that set its width (``engine.fusion_limited_<bound>``)
+and every step the arena's steady-state cache served
+(``arena.cached_steps``).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.latency import LatencyMixture
+from repro.harness.arena import NEVER, ProcessArena
 from repro.kernel.kernel import Kernel
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
@@ -288,18 +290,8 @@ class QuantumEngine:
                         for name, delta in plan.take_counters().items():
                             if delta:
                                 obs.inc(name, delta)
-                        repriced, skipped = (
-                            arena_obj.take_reprice_counters()
-                        )
-                        if repriced:
-                            obs.inc(
-                                "arena.repriced_segments", repriced
-                            )
-                        if skipped:
-                            obs.inc(
-                                "arena.reprice_skipped_segments",
-                                skipped,
-                            )
+                        if arena_obj.cached_step:
+                            obs.inc("arena.cached_steps")
                 if n_fused > 1:
                     self.fused_quanta += n_fused
                     if obs is not None:
@@ -341,8 +333,6 @@ class QuantumEngine:
         """One batched arena step (builds/rebuilds the arena lazily)."""
         arena = self._arena
         if arena is None or arena.processes != self.kernel.processes:
-            from repro.harness.arena import ProcessArena
-
             if arena is not None:
                 arena.detach()
             arena = self._arena = ProcessArena(self)
@@ -368,23 +358,24 @@ class QuantumEngine:
         anything scheduled at time ``X`` at the first quantum boundary at
         or after ``X``, so fusing ``ceil((X - start) / quantum)`` quanta
         reaches exactly that boundary.  Applied to the kernel's next hard
-        event, the observer's next firing, each workload's stability
-        horizon, and (via a fastest-possible-access bound) each process's
-        remaining access target, then clamped by the run end and the
-        policy's ``max_fusion_quanta``.  Any process not provably in
-        steady state -- distribution array changed, pages migrated,
-        protection changed since its last quantum -- returns 1 (no
-        fusion), as does kernel debt below one quantum.  Consumes no
-        RNG, so a 1-quantum step stays bit-identical to reference
-        stepping.
+        event, the observer's next firing, the earliest stability horizon
+        in the arena's row calendar, and (via a fastest-possible-access
+        bound) each process's remaining access target, then clamped by
+        the run end and the policy's ``max_fusion_quanta``.  Any process
+        not provably in steady state -- pages migrated or protection
+        changed since its last quantum, or its distribution due to be
+        re-read -- returns 1 (no fusion), as does kernel debt below one
+        quantum.  Consumes no RNG and calls no workload, so a 1-quantum
+        step stays bit-identical to reference stepping.
 
         The bound names the ``engine.fusion_limited_<bound>`` counter
         the step counts under: ``run_end``, ``event``, ``observer``,
         ``max_quanta``, ``witness``, ``debt``, ``stability`` or
         ``target`` (the first of tied bounds, in that order).  The
-        witness and debt bounds are vector compares over the arena's
-        cells; only its dynamic rows (stability, distribution identity)
-        and target rows (access target) are checked one by one.
+        witness, debt and stability bounds are vector reads of the
+        arena's cells and calendar; a row that is due at ``start_ns``
+        counts as ``stability``.  Only the target rows (access target)
+        are checked one by one.
         """
         q = self.quantum_ns
         # Whole quanta left in the run; a trailing partial quantum runs
@@ -434,25 +425,15 @@ class QuantumEngine:
                 return 1, "debt"
             if stall_quanta < n:
                 n, bound = stall_quanta, "debt"
-        refs = arena.probs_refs
-        for i, _proc, workload, _pages in arena._dynamic_rows:
-            # Duck-typed workloads predating the fusion contract get no
-            # stability guarantee: treat them like ``stable_until_ns``
-            # returning ``now`` (fusion disabled, stepping unchanged).
-            stable_fn = getattr(workload, "stable_until_ns", None)
-            stable = start_ns if stable_fn is None else stable_fn(start_ns)
-            if stable is not None:
-                k = -(-(stable - start_ns) // q)
-                if k < n:
-                    if k <= 1:
-                        return 1, "stability"
-                    n, bound = k, "stability"
-            # ``advance`` is idempotent and consumes no RNG; the step
-            # repeats it.  The distribution for the upcoming quantum must
-            # be the exact array the last quantum ran against.
-            workload.advance(start_ns)
-            if workload.access_distribution() is not refs[i]:
-                return 1, "witness"
+        # The row calendar: each live row keeps the distribution its last
+        # quantum ran against until its ``stable_until_ns`` at its last
+        # visit (duck-typed rows: until ``now``, so they never fuse).
+        due = int(np.min(arena._due_ns, where=live, initial=NEVER))
+        k = quanta_until(due)
+        if k < n:
+            if k <= 1:
+                return 1, "stability"
+            n, bound = k, "stability"
         acc_n = arena._acc_n
         for i, process, workload, _pages in arena._target_rows:
             # The arena folds its accesses into ``process.stats`` lazily:

@@ -268,9 +268,9 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
         _spec("engine.fusion_limited_witness", "counter", "count",
               "repro.harness.engine",
               "engine steps held to one quantum by the steady-state "
-              "witness: a process's placement, protection or "
-              "distribution changed since its last quantum, or no "
-              "quantum of the fleet has run yet."),
+              "witness: a process's placement or protection changed "
+              "since its last quantum, or no quantum of the fleet has "
+              "run yet."),
         _spec("engine.fusion_limited_debt", "counter", "count",
               "repro.harness.engine",
               "engine steps whose width was set by queued kernel "
@@ -278,9 +278,11 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "else the smallest debtor's whole stalled quanta."),
         _spec("engine.fusion_limited_stability", "counter", "count",
               "repro.harness.engine",
-              "engine steps whose width was set by a workload's "
-              "stability horizon: its next phase edge, or one "
-              "quantum for a workload that declares none."),
+              "engine steps whose width was set by the arena's row "
+              "calendar: the earliest workload stability horizon (a "
+              "next phase edge), or one quantum when a row is due -- "
+              "its phase edge has come, or its workload declares no "
+              "horizon."),
         _spec("engine.fusion_limited_target", "counter", "count",
               "repro.harness.engine",
               "engine steps whose width was set by a process's "
@@ -291,14 +293,12 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "engine steps held to one quantum by the contention "
               "gate: the tier multipliers moved more than 1% since "
               "the previous step."),
-        _spec("arena.repriced_segments", "counter", "count",
+        _spec("arena.cached_steps", "counter", "count",
               "repro.harness.arena",
-              "segment prices recomputed by the arena step (dirty "
-              "rows)."),
-        _spec("arena.reprice_skipped_segments", "counter", "count",
-              "repro.harness.arena",
-              "segment re-pricings skipped because the epoch witness "
-              "showed no change."),
+              "arena steps served by the steady-state cache: no input "
+              "changed since the previous step, so pricing and the "
+              "ledger, latency and demand folds reused their "
+              "vectors."),
         _spec("arena.fault_plan_rebuilds", "counter", "count",
               "repro.harness.arena",
               "rebuilds of the fault plan's slot tables from the live "

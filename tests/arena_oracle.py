@@ -7,8 +7,8 @@ a segment-by-segment fault resolve and delivery.
 straightforward way: a Python gather loop that advances every row and
 checks its placement epoch and kernel debt, a full pricing fold over all
 segments, the arena's fault phase, and a full recompute of the ledger,
-stat, latency and demand folds.  No witness cells, static rows, dirty
-bits or steady-state cache are consulted.
+stat, latency and demand folds.  No witness cells, row calendar or
+steady-state cache are consulted.
 
 :meth:`ProcessArena.step` must reproduce this function bit for bit on
 every fleet, one process included.  Tests install it in place of the
@@ -18,10 +18,14 @@ production step::
 
 ``fusion_horizon_reference(engine, start_ns, end_ns, next_observe_ns,
 max_fuse)`` computes the fusion width with one loop over every live
-process -- witness, debt, stability, distribution identity and access
-target in turn -- where the engine answers the witness and debt bounds
-with vector compares over the arena and checks only dynamic and target
-rows.  The two widths must be equal at every step.
+process -- witness, debt, a fresh ``stable_until_ns`` call,
+distribution identity after ``advance`` and access target in turn --
+where the engine answers the witness, debt and stability bounds from
+the arena's cells and row calendar and checks only target rows.  The
+two widths must be equal at every step on any fleet whose workloads
+swap their distribution object at every phase edge they report (at an
+edge that keeps the object, the loop fuses across it where the
+calendar ends the window).
 
 ``resolve_reference(plan, touched, n_vec, faults, start_ns,
 quantum_ns)`` is the fault plan's resolve and delivery done segment by

@@ -1,31 +1,39 @@
 """The one arena step against its test oracle and the reference engine.
 
 ``ProcessArena.step`` (``repro.harness.arena``, docs/SIMULATION.md
-section 7) gathers over write-through witness cells, skips ``advance``
-for static rows, refolds only dirty price rows and caches steady-state
-quanta.  Its contract:
+section 7) gathers over write-through witness cells, visits only the
+rows its calendar says are due, prices every row in one fold and
+caches steady-state quanta.  Its contract:
 
 1. it executes the same IEEE-754 operations and consumes the same RNG
    stream as the test oracle (``tests/arena_oracle.py``, a per-segment
    step that recomputes everything every quantum), so trajectories are
    bit-identical on every fleet -- one tenant alone, distinct delays,
    distinct tables and shared tables, contended or not, for every
-   registered policy;
-2. on shared-table fleets, contended included, the default engine
+   registered policy, with the steady-state cache serving steps on the
+   uncontended ones;
+2. a fault-path mass repair made after pricing hands the next step a
+   fresh pricing: the cache flag that only pricing arms stays down, so
+   even a step with no other change reprices (the hand-off case, at
+   constant latencies and no kernel charge);
+3. on shared-table fleets, contended included, the default engine
    agrees with the reference engine (``fast_path=False``) within the
-   reference's own seed spread;
-3. its masked pricing fold (``price_fold``) rewrites exactly the dirty
-   rows, in the full fold's operation order.
+   reference's own seed spread.
 """
 
 import numpy as np
 import pytest
 
-from repro.harness.arena import ProcessArena, price_fold
+from repro.harness.arena import NEVER, ProcessArena
 from repro.harness.engine import QuantumEngine
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
+from repro.kernel.kernel import Kernel
+from repro.mem.machine import MachineSpec, TieredMachine
+from repro.mem.tier import SLOW_TIER, dram_spec, optane_spec
 from repro.obs import ObsHub
+from repro.policies.base import TieringPolicy
+from repro.sim.rng import RngStreams
 from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.workloads.multitenant import make_multitenant_processes
 from tests.arena_oracle import step_reference
@@ -115,6 +123,13 @@ def fingerprint(result):
     )
 
 
+#: policies the steady-state cache serves no step of some uncontended
+#: fleet: Telescope charges kernel time every quantum, and under Chrono
+#: and AutoTiering the contended tier latencies move at every step of
+#: the shared-table fleet's 2 s run
+RESTLESS_POLICIES = ("autotiering", "chrono", "telescope")
+
+
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("fleet", sorted(FLEETS))
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
@@ -123,10 +138,14 @@ class TestOracleBitIdentity:
     ):
         """Shared tables and distinct delays alike: every segment
         prices from its own tier-mass row, so the step reproduces the
-        oracle bit for bit."""
-        step = run_multitenant(policy_name, **FLEETS[fleet])
+        oracle bit for bit -- on the steps the steady-state cache
+        serves too."""
+        hub = ObsHub.create(metrics=True)
+        step = run_multitenant(policy_name, obs=hub, **FLEETS[fleet])
         oracle = run_oracle(policy_name, **FLEETS[fleet])
         assert fingerprint(step) == fingerprint(oracle)
+        if policy_name not in RESTLESS_POLICIES:
+            assert hub.snapshot()["counters"]["arena.cached_steps"] > 0
 
     def test_distinct_tables_match_oracle_exactly(self):
         """All-distinct tables (one stride per tenant)."""
@@ -214,47 +233,49 @@ def build_arena_engine(n_tenants=4, pages=64, delay_step_units=0):
     return kernel, engine, processes
 
 
-class TestDirtyRowPricing:
-    def test_dirty_bits_skip_clean_repricing(self):
-        """Every segment is accounted either repriced or skipped each
-        quantum, and steady-state quanta skip clean rows."""
+class TestSteadyStateCache:
+    def test_steady_quanta_are_served_by_the_cache(self):
+        """The first step prices and folds from scratch; with no input
+        changing after it, every later step is served by the cache."""
         _, engine, _ = build_arena_engine(n_tenants=4)
-        arena = None
-        for step in range(3):
+        served = []
+        for step in range(4):
             engine._arena_step(step * 10 * MILLISECOND, 10 * MILLISECOND)
-            arena = arena or engine._arena
-        repriced, skipped = arena.take_reprice_counters()
-        assert repriced + skipped == 3 * 4
-        assert skipped > 0
-        assert arena.take_reprice_counters() == (0, 0)
+            served.append(engine._arena.cached_step)
+        assert served == [False, True, True, True]
 
-    def test_static_rows_skip_the_gather_loop(self):
-        """Stationary pmbench tenants are static rows: nothing is left
-        for the per-row ``advance`` loop."""
+    def test_static_rows_are_never_due(self):
+        """Stationary pmbench tenants are static rows: the calendar
+        never sends them through the per-row ``advance`` loop."""
         _, engine, _ = build_arena_engine(n_tenants=4)
         engine._arena_step(0, 10 * MILLISECOND)
-        assert engine._arena._dynamic_rows == []
+        arena = engine._arena
+        assert (arena._due_ns == NEVER).all()
+        assert arena._next_due_ns == NEVER
 
     def test_steady_state_cache_arms_and_survives_mass_changes(self):
-        """Quanta with no input change re-arm the steady-state cache;
-        an external page move is repaired, repriced, and re-armed in
-        one quantum (the cache may never serve stale vectors)."""
+        """Quanta with no input change keep the steady-state cache
+        armed; an external page move is repaired and repriced in one
+        quantum, which pricing re-arms (the cache may never serve stale
+        vectors)."""
         _, engine, processes = build_arena_engine(n_tenants=4)
         for step in range(3):
             engine._arena_step(step * 10 * MILLISECOND, 10 * MILLISECOND)
         arena = engine._arena
-        assert arena._ss_valid
+        assert arena._ss_valid and arena.cached_step
         fast_before = arena.mass[0, 0]
-        arena.take_reprice_counters()
+        n_before = arena._n.copy()
         processes[0].pages.move_to_tier(np.array([0, 1]), 1)
         engine._arena_step(30 * MILLISECOND, 10 * MILLISECOND)
-        # The move invalidated mid-step, forced a repair and a reprice
-        # of exactly the moved row, refreshed every cached vector, and
-        # re-armed the cache.
+        # The move invalidated the cache, forced a repair and a
+        # reprice, and pricing re-armed it.
+        assert not arena.cached_step
         assert arena._ss_valid
         assert arena.mass[0, 0] < fast_before
-        repriced, _ = arena.take_reprice_counters()
-        assert repriced == 1
+        assert arena._n[0] < n_before[0]
+        assert (arena._n[1:] == n_before[1:]).all()
+        engine._arena_step(40 * MILLISECOND, 10 * MILLISECOND)
+        assert arena.cached_step
 
     def test_refilled_budget_reprices_the_access_count(self):
         """A quantum that drained kernel debt runs on a cut budget; the
@@ -271,38 +292,91 @@ class TestDirtyRowPricing:
         assert arena._n[0] == full[0]
 
 
-class TestPriceFold:
-    def test_price_fold_masked_rows_only(self):
-        """The masked pricing fold writes exactly the indexed rows,
-        with the reference tier-order accumulation (coef = rf*read +
-        wf*write, then *mass, summed per tier)."""
-        rng = np.random.default_rng(4)
-        n_segs, n_tiers = 13, 3
-        mass = rng.random((n_segs, n_tiers)) * 5.0
-        wf = rng.random(n_segs)
-        rf = 1.0 - wf
-        read_lats = rng.random(n_tiers) * 100.0
-        write_lats = rng.random(n_tiers) * 300.0
-        idx = np.array([0, 2, 5, 11], dtype=np.int64)
-        out = np.full(n_segs, -1.0)
-        price_fold(mass, rf, wf, read_lats, write_lats, idx, out)
-        expected = np.full(n_segs, -1.0)
-        acc = np.zeros(idx.size)
-        for tier_id in range(n_tiers):
-            coef = rf[idx] * read_lats[tier_id]
-            coef += wf[idx] * write_lats[tier_id]
-            coef *= mass[idx, tier_id]
-            acc += coef
-        expected[idx] = acc
-        np.testing.assert_array_equal(out, expected)
-        assert out[1] == -1.0  # untouched rows keep their value
+class _DemoteOnFault(TieringPolicy):
+    """Moves every faulted page to the slow tier inside ``on_faults``:
+    a fault-path mass change that charges no kernel time and puts no
+    bytes on the migration path."""
+
+    name = "demote-on-fault"
+
+    def _configure(self, kernel):
+        pass
+
+    def on_faults(self, faults):
+        for process, batch in faults.batches():
+            process.pages.move_to_tier(batch.vpns, SLOW_TIER)
+
+
+def hand_off_trace(step=None):
+    """Twelve 10 ms arena steps of four tenants under
+    ``_DemoteOnFault``, with ``step`` installed as the arena step when
+    given.  The engine is stepped directly, so the tier latencies stay
+    constant and no timer fires; every page is protected before every
+    third step and a hint fault costs nothing, so a fault-path repair
+    is the only input that moves.  Returns the per-step vectors and
+    cache routes, and the final latency store."""
+    spec = MachineSpec(
+        tiers=(dram_spec(512), optane_spec(512)), page_fault_cost_ns=0
+    )
+    kernel = Kernel(machine=TieredMachine(spec), rng=RngStreams(0))
+    processes = [
+        process
+        for process, _cgroup in make_multitenant_processes(
+            n_tenants=4, pages_per_tenant=64, delay_step_units=1
+        )
+    ]
+    for process in processes:
+        kernel.register_process(process)
+    kernel.allocate_initial_placement()
+    kernel.set_policy(_DemoteOnFault())
+    engine = QuantumEngine(kernel, quantum_ns=10 * MILLISECOND)
+    vectors, routes = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        if step is not None:
+            patch.setattr(ProcessArena, "step", step)
+        for k in range(12):
+            start = k * 10 * MILLISECOND
+            if k % 3 == 0:
+                for process in processes:
+                    pages = process.pages
+                    pages.protect(np.arange(pages.n_pages), start)
+            demand = engine._arena_step(start, 10 * MILLISECOND)
+            arena = engine._arena
+            vectors.append(
+                [
+                    vec.copy()
+                    for vec in (
+                        demand, arena._n, arena._mean_lat, arena._acc_n,
+                        arena._acc_fast, arena._acc_user, arena.mass,
+                    )
+                ]
+            )
+            routes.append(arena.cached_step)
+    store = {key: vec.tolist() for key, vec in arena._lat_store.items()}
+    return vectors, routes, store, kernel
+
+
+class TestCacheHandOff:
+    def test_fault_path_repair_reprices_the_next_step(self):
+        """Pages the policy moves inside ``on_faults`` change the mass
+        after this step priced; the next step must price again even
+        though no other input moved, exactly as the oracle does."""
+        vectors, routes, store, kernel = hand_off_trace()
+        expect, _, expect_store, _ = hand_off_trace(step_reference)
+        assert kernel.stats.hint_faults > 0
+        assert kernel.stats.kernel_time_ns == 0
+        assert any(routes) and not all(routes)
+        assert store == expect_store
+        for k, (got, want) in enumerate(zip(vectors, expect)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, err_msg=f"step {k}")
 
 
 class TestObsMetrics:
-    def test_reprice_counters_and_table_gauges_emitted(self):
+    def test_cached_steps_and_table_gauges_emitted(self):
         hub = ObsHub.create(metrics=True)
-        run_multitenant(
-            "chrono",
+        result = run_multitenant(
+            "linux-nb",
             n_tenants=8,
             delay_step_units=0,
             n_distinct=2,
@@ -310,12 +384,9 @@ class TestObsMetrics:
         )
         snapshot = hub.snapshot()
         counters = snapshot["counters"]
-        assert counters["arena.repriced_segments"] > 0
-        total = (
-            counters["arena.repriced_segments"]
-            + counters["arena.reprice_skipped_segments"]
-        )
-        assert total > 0
+        # Every arena step counts at most once; Linux-NB leaves the
+        # uncontended fleet in steady state for a third of its steps.
+        assert 0 < counters["arena.cached_steps"] < result.engine.steps_run
         # Table-cache effectiveness: eight tenants over two compiled
         # tables means two builds (or fewer, if warm) and hits for the
         # rest of the fleet.

@@ -42,6 +42,15 @@ def _load_script():
 bench = _load_script()
 
 
+def _script_host(monkeypatch, probe_cpu_s=None):
+    """Script every host-speed sample the quanta/sec gate takes: the
+    probe's fixed work takes ``probe_cpu_s`` CPU seconds (its nominal
+    ``hostspeed.NOMINAL_S`` by default), so no test runs the probe."""
+    nominal = bench.hostspeed.NOMINAL_S
+    cpu = nominal if probe_cpu_s is None else probe_cpu_s
+    monkeypatch.setattr(bench.hostspeed, "sample", lambda: (nominal, cpu))
+
+
 class TestFusionEstimator:
     """The fusion speedup from interleaved pairs on a scripted clock:
     the host slows down linearly over the whole measurement and one run
@@ -140,6 +149,7 @@ class TestQuickGate:
                     "quanta_per_sec": next(rates)}
 
         monkeypatch.setattr(bench, "time_engine", fake_time_engine)
+        _script_host(monkeypatch)
         for gate in ("run_quick_sweep_gate", "run_quick_arena_gate",
                      "run_quick_trace_gate"):
             monkeypatch.setattr(bench, gate, lambda baseline: ({}, True))
@@ -183,60 +193,134 @@ class TestQuickGate:
         assert code == 1
 
 
-class TestQuickGateClock:
-    """The quanta/sec gate reads the process CPU clock: on scripted
-    clocks, a run the host stalls for 10 wall seconds still measures
-    its CPU time, so the stall alone cannot fail the gate."""
+def _clocked_gate(
+    monkeypatch, tmp_path, cpu_per_run, baseline, probe_cpu_s=None
+):
+    """``--quick`` on scripted clocks: every run of 140 quanta takes
+    ``cpu_per_run`` CPU seconds and 10 wall seconds (the host stalls
+    it), and every host-speed sample ``probe_cpu_s``."""
+    clocks = {"wall": 0.0, "cpu": 0.0}
 
-    QUANTA = 140
+    def fake_run_experiment(processes, policy, config, fast_path,
+                            profile):
+        clocks["wall"] += 10.0  # the host stalls the run
+        clocks["cpu"] += cpu_per_run
+        return SimpleNamespace(
+            engine=SimpleNamespace(quanta_run=140),
+            throughput_per_sec=1.0, fmar=0.5, profile=None,
+        )
 
-    def _gate(self, monkeypatch, tmp_path, cpu_per_run):
-        clocks = {"wall": 0.0, "cpu": 0.0}
-
-        def fake_run_experiment(processes, policy, config, fast_path,
-                                profile):
-            clocks["wall"] += 10.0  # the host stalls the run
-            clocks["cpu"] += cpu_per_run
-            return SimpleNamespace(
-                engine=SimpleNamespace(quanta_run=self.QUANTA),
-                throughput_per_sec=1.0, fmar=0.5, profile=None,
-            )
-
-        monkeypatch.setattr(
+    monkeypatch.setattr(
             bench, "time",
             SimpleNamespace(
                 perf_counter=lambda: clocks["wall"],
                 process_time=lambda: clocks["cpu"],
             ),
         )
-        monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
-        monkeypatch.setattr(bench, "build_fleet", lambda *a, **k: [])
-        for gate in ("run_quick_sweep_gate", "run_quick_arena_gate",
-                     "run_quick_trace_gate"):
-            monkeypatch.setattr(bench, gate, lambda baseline: ({}, True))
-        monkeypatch.setattr(
-            bench, "run_quick_fusion_gate",
-            lambda baseline, duration_ns: ({}, True),
-        )
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(TestQuickGate.BASELINE))
-        out = tmp_path / "quick.json"
-        code = bench.main([
-            "--quick", "--baseline", str(baseline), "--out", str(out),
-        ])
-        return code, json.loads(out.read_text())
+    monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(bench, "build_fleet", lambda *a, **k: [])
+    _script_host(monkeypatch, probe_cpu_s)
+    for gate in ("run_quick_sweep_gate", "run_quick_arena_gate",
+                 "run_quick_trace_gate"):
+        monkeypatch.setattr(bench, gate, lambda baseline: ({}, True))
+    monkeypatch.setattr(
+        bench, "run_quick_fusion_gate",
+        lambda baseline, duration_ns: ({}, True),
+    )
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline))
+    out = tmp_path / "quick.json"
+    code = bench.main([
+        "--quick", "--baseline", str(path), "--out", str(out),
+    ])
+    return code, json.loads(out.read_text())
+
+
+class TestQuickGateClock:
+    """The quanta/sec gate reads the process CPU clock: on scripted
+    clocks, a run the host stalls for 10 wall seconds still measures
+    its CPU time, so the stall alone cannot fail the gate."""
 
     def test_wall_clock_stall_alone_passes(self, monkeypatch, tmp_path):
         # 140 quanta in 0.1 CPU s: 1,400 q/s against a 700 q/s floor,
         # where the stalled wall clock would read 14 q/s.
-        code, payload = self._gate(monkeypatch, tmp_path, 0.1)
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.1, TestQuickGate.BASELINE
+        )
         assert payload["after"]["quanta_per_sec"] == pytest.approx(1400.0)
         assert code == 0
 
     def test_slow_cpu_time_still_fails(self, monkeypatch, tmp_path):
-        code, payload = self._gate(monkeypatch, tmp_path, 0.4)
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.4, TestQuickGate.BASELINE
+        )
         assert payload["after"]["quanta_per_sec"] == pytest.approx(350.0)
         assert code == 1
+
+
+class TestQuickGateHostSpeed:
+    """Against a baseline that records its host slowdown, the gate
+    multiplies each side's CPU quanta/sec by the slowdown that
+    host-speed samples read between its own runs, so contention that
+    slows the program and the probe alike cancels out; a baseline
+    without one is compared raw."""
+
+    BASELINE = dict(
+        TestQuickGate.BASELINE,
+        after={"quanta_per_sec": 1000.0, "host_slowdown": 1.0},
+    )
+
+    def test_host_slowdown_alone_passes(self, monkeypatch, tmp_path):
+        # A host twice as slow: 140 quanta in 0.28 CPU s (500 q/s, below
+        # the raw 700 q/s floor) while the probe takes twice its
+        # nominal time, so the gate reads 1,000 q/s at nominal speed.
+        probe = 2 * bench.hostspeed.NOMINAL_S
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.28, self.BASELINE, probe
+        )
+        assert payload["after"]["quanta_per_sec"] == pytest.approx(500.0)
+        assert payload["after"]["host_slowdown"] == pytest.approx(2.0)
+        assert payload["gated_quanta_per_sec"] == pytest.approx(
+            [1000.0, 1000.0]
+        )
+        assert code == 0
+        # The same runs against a baseline without a slowdown: raw.
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.28, TestQuickGate.BASELINE, probe
+        )
+        assert payload["gated_quanta_per_sec"] == pytest.approx(
+            [500.0, 1000.0]
+        )
+        assert code == 1
+
+    def test_slower_program_at_nominal_speed_fails(
+        self, monkeypatch, tmp_path
+    ):
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.28, self.BASELINE
+        )
+        assert payload["after"]["host_slowdown"] == pytest.approx(1.0)
+        assert payload["gated_quanta_per_sec"] == pytest.approx(
+            [500.0, 1000.0]
+        )
+        assert code == 1
+
+    def test_baseline_from_a_slow_host_is_scaled_up(
+        self, monkeypatch, tmp_path
+    ):
+        # The baseline read 500 q/s on a host 1.5x slower than nominal:
+        # 750 q/s at nominal speed, a 525 q/s floor that 560 q/s passes.
+        baseline = dict(
+            TestQuickGate.BASELINE,
+            after={"quanta_per_sec": 500.0, "host_slowdown": 1.5},
+        )
+        code, payload = _clocked_gate(
+            monkeypatch, tmp_path, 0.25, baseline
+        )
+        assert payload["gated_quanta_per_sec"] == pytest.approx(
+            [560.0, 750.0]
+        )
+        assert code == 0
 
 
 class TestQuickFusionGate:

@@ -487,9 +487,13 @@ class TestDeliverFaults:
 # The dynamic-row calendar
 # ---------------------------------------------------------------------------
 class TestRowCalendar:
-    def test_dynamic_rows_are_visited_only_when_due(self):
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_dynamic_rows_are_visited_only_when_due(self, fusion):
         """A phase shifter is advanced once per phase, a stationary
-        table never, and a duck-typed row every quantum."""
+        table never, and a duck-typed row every quantum -- with fusion
+        on too: the fusion horizon reads the calendar and calls no
+        workload (the duck-typed row holds every step to one
+        quantum)."""
         calls = {"shifter": 0, "duck": 0}
 
         class CountingShifter(TraceWorkload):
@@ -518,9 +522,10 @@ class TestRowCalendar:
         kernel.register_process(duck)
         kernel.allocate_initial_placement()
         engine = QuantumEngine(
-            kernel, quantum_ns=10 * MILLISECOND, fusion=False
+            kernel, quantum_ns=10 * MILLISECOND, fusion=fusion
         )
         engine.run(SECOND)
+        assert engine.steps_run == 100
         assert calls["duck"] == 100
         # The first step and the nine phase boundaries inside the run.
         assert calls["shifter"] == 10

@@ -124,6 +124,30 @@ class TestHorizonOracle:
         assert len(checked_horizons) > 50
         assert set(checked_horizons) == {1}
 
+    def test_retired_dynamic_row_bounds_nothing(
+        self, checked_horizons, monkeypatch
+    ):
+        """A duck-typed row is due every quantum until it reaches its
+        access target and retires; the calendar entry it leaves behind
+        must not bound the static row that stays, so the very next
+        horizon fuses.  The contention gate is opened so that every
+        step consults the horizon, the one right after the retirement
+        included."""
+        monkeypatch.setattr(
+            QuantumEngine, "FUSION_CONTENTION_TOL", float("inf")
+        )
+        kernel = make_kernel(aging_period_ns=1000 * SECOND)
+        duck = make_process(pid=1, n_pages=64)
+        duck.target_accesses = 1e6
+        kernel.register_process(duck)
+        kernel.register_process(table_process(2))
+        kernel.allocate_initial_placement()
+        engine = QuantumEngine(kernel, quantum_ns=10 * MILLISECOND)
+        engine.run(SECOND)
+        assert duck.finished
+        assert set(checked_horizons[:-1]) == {1}
+        assert checked_horizons[-1] > 1
+
     def test_protection_changes_and_finished_segments(
         self, checked_horizons
     ):
