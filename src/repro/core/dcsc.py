@@ -56,15 +56,6 @@ class DcscConfig:
     decay: float = 0.9
     min_samples: float = 32.0
     min_victims_per_process: int = 4
-    #: engine-quantum hint: round the second measurement round's
-    #: protection timestamp up to the next multiple of this value.  The
-    #: batched engine resolves at most one fault per page per quantum, so
-    #: stamping mid-quantum would inflate every round-two CIT by up to a
-    #: quantum of dead time.  Because the simulated arrival process is
-    #: memoryless, restarting the measurement at the boundary draws from
-    #: the same inter-access distribution.  0 disables (event-driven
-    #: callers measuring real fault times).
-    requantize_ns: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.victim_fraction < 1:
@@ -81,8 +72,6 @@ class DcscConfig:
             raise ValueError("need a positive sample requirement")
         if self.min_victims_per_process < 1:
             raise ValueError("need at least one victim per process")
-        if self.requantize_ns < 0:
-            raise ValueError("requantize hint cannot be negative")
 
 
 class DcscCollector:
@@ -186,8 +175,18 @@ class DcscCollector:
         vpns: np.ndarray,
         cit_ns: np.ndarray,
         fault_ts_ns: np.ndarray,
+        quantum_ns: int,
     ) -> None:
-        """Handle faults on PG_probed pages (both measurement rounds)."""
+        """Handle faults on PG_probed pages (both measurement rounds).
+
+        ``quantum_ns`` is the stepping engine's quantum: round two's
+        protection is stamped at the first quantum boundary after the
+        fault.  The engine resolves at most one fault per page per
+        quantum, so stamping mid-quantum would inflate every round-two
+        CIT by up to a quantum of dead time; the simulated arrival
+        process is memoryless, so restarting the measurement at the
+        boundary draws from the same inter-access distribution.
+        """
         rounds, first_cit, _ = self._arrays(process)
         vpns = np.asarray(vpns, dtype=np.int64)
         cit_ns = np.asarray(cit_ns, dtype=np.int64)
@@ -202,13 +201,10 @@ class DcscCollector:
         if round1.size:
             first_cit[round1] = cit_ns[in_round1]
             rounds[round1] = 2
-            # Second measurement round starts at the fault instant
-            # (rounded up to the engine boundary when configured; see
-            # DcscConfig.requantize_ns).
-            restart_ts = fault_ts_ns[in_round1]
-            if self.config.requantize_ns > 0:
-                q = self.config.requantize_ns
-                restart_ts = (restart_ts // q + 1) * q
+            # Second measurement round starts at the next engine
+            # boundary after the fault.
+            q = quantum_ns
+            restart_ts = (fault_ts_ns[in_round1] // q + 1) * q
             process.pages.protect_at(round1, restart_ts)
 
         round2 = vpns[in_round2]

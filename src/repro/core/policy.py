@@ -400,6 +400,7 @@ class ChronoPolicy(TieringPolicy):
                     vpns[probed],
                     cits[probed],
                     batch.fault_ts_ns[probed],
+                    kernel.quantum_ns,
                 )
             regular = ~probed
             vpns = vpns[regular]

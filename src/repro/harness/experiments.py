@@ -116,7 +116,6 @@ class StandardSetup:
             probe_period_ns=self.dcsc_probe_period_ns,
             victim_fraction=self.dcsc_victim_fraction,
             probe_timeout_ns=self.dcsc_probe_timeout_ns,
-            requantize_ns=self.quantum_ns,
         )
         values.update(overrides)
         return DcscConfig(**values)

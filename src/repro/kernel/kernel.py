@@ -5,6 +5,11 @@ process table, and every MM subsystem.  Tiering policies attach to it and
 get access to the scanner, the LRU lists, the reclaim daemon, the migration
 engine, and the sysctl/stats plumbing -- the same surface Chrono's 1.9k-SLOC
 patch touches in Linux.
+
+Like the kernel's ``struct page`` array, one :class:`~repro.vm.page_state.\
+PageTable` holds the page state of every registered process
+(:attr:`Kernel.page_table`): the arena's fault path, LRU aging and
+reclaim victim selection work on it in place.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from repro.mem.machine import TieredMachine
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
-from repro.sim.timeunits import SECOND
+from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.vm.fault import FleetFaults
+from repro.vm.page_state import PageTable
 from repro.vm.process import SimProcess
 
 #: per-page cost of one LRU aging pass (reference-bit harvest)
@@ -91,6 +97,14 @@ class Kernel:
         self.processes: List[SimProcess] = []
         #: pids of ``processes``: the duplicate check is O(1) per tenant
         self._pids: Set[int] = set()
+        self._page_table: Optional[PageTable] = None
+        #: the arena stepping this kernel (``repro.harness.arena``); one
+        #: it replaced, or one detached, refuses to step
+        self.arena: Any = None
+        #: the quantum of the engine stepping this kernel (it sets this;
+        #: the engine's default until then): DCSC restarts its second
+        #: measurement round at the next quantum boundary
+        self.quantum_ns: int = 50 * MILLISECOND
         self.policy: Any = None
         self.scanner: Optional[TickingScanner] = None
         #: optional :class:`repro.obs.hub.ObsHub`; when set, kernel paths
@@ -127,13 +141,30 @@ class Kernel:
     def register_process(
         self, process: SimProcess, cgroup: Optional[str] = None
     ) -> None:
-        """Add a process to the table (placement happens separately)."""
+        """Add a process to the table (placement happens separately, and
+        binds its page state to :attr:`page_table`)."""
         if process.pid in self._pids:
             raise ValueError(f"pid {process.pid} already registered")
         self._pids.add(process.pid)
         self.processes.append(process)
         if cgroup is not None:
             self.cgroups.attach(process, cgroup)
+
+    @property
+    def page_table(self) -> PageTable:
+        """Every registered process's page state, in registration order:
+        segment ``i`` is ``processes[i]``.
+
+        Built at initial placement (or on first use), and again when
+        processes registered since: page states bound before carry their
+        values over (:class:`~repro.vm.page_state.PageTable`).
+        """
+        table = self._page_table
+        if table is None or table.n_segs != len(self.processes):
+            table = self._page_table = PageTable(
+                [p.pages for p in self.processes]
+            )
+        return table
 
     def allocate_initial_placement(self, chunk_pages: int = 64) -> None:
         """Demand-allocate every process's pages, round-robin in chunks.
@@ -159,9 +190,7 @@ class Kernel:
             raise ValueError("chunk size must be positive")
         fast = self.machine.fast
         slow = self.machine.slow
-        sizes = np.array(
-            [p.n_pages for p in self.processes], dtype=np.int64
-        )
+        sizes = np.diff(self.page_table.starts)
         total = int(sizes.sum())
         headroom = max(0, fast.free_pages - self.watermarks.high_pages)
         if total > headroom + slow.free_pages:
@@ -194,10 +223,11 @@ class Kernel:
         return self.scanner
 
     def start(self) -> None:
-        """Start kernel daemons.  Idempotent."""
+        """Bind the page table and start kernel daemons.  Idempotent."""
         if self._started:
             return
         self._started = True
+        self.page_table  # the daemons' fleet passes run on it
         if self.scanner is not None:
             self.scanner.start()
         self.reclaim.start()

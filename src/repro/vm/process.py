@@ -4,6 +4,10 @@ A :class:`SimProcess` bundles the page state, the address-space layout, the
 workload driving it, and per-process accounting.  Processes execute in
 parallel (the paper runs up to 50 concurrent pmbench tasks on a 56-core
 machine); the engine advances each one through the same wall-clock quantum.
+
+The kernel time queued against a process lives next to its page state:
+it is its segment's element of the page table's ``debt`` vector, so the
+arena finds indebted processes with one vector compare.
 """
 
 from __future__ import annotations
@@ -75,15 +79,6 @@ class SimProcess:
         self.pages = PageState(n_pages)
         self.aspace = AddressSpace.linear(n_pages)
         self.stats = ProcessStats()
-        # Kernel overhead incurred on this process's behalf that has not yet
-        # been charged against its quantum budget.
-        self.pending_kernel_ns: float = 0.0
-        # Optional write-through mirror of ``pending_kernel_ns`` (the
-        # cross-process arena's debt vector): both mutation sites below
-        # copy the new value into ``_debt_cell[_debt_index]`` so the
-        # arena finds indebted segments with one vectorised compare.
-        self._debt_cell: Optional[np.ndarray] = None
-        self._debt_index: int = 0
         self.finished = False
         # Fixed-work runs (e.g. Graph500 execution time) set a target; the
         # engine marks the process finished once it completes this many
@@ -94,32 +89,28 @@ class SimProcess:
     def n_pages(self) -> int:
         return self.pages.n_pages
 
-    def set_debt_cell(
-        self, cell: Optional[np.ndarray], index: int = 0
-    ) -> None:
-        """Attach (or detach, with ``None``) a pending-debt mirror cell."""
-        self._debt_cell = cell
-        self._debt_index = int(index)
-        if cell is not None:
-            cell[index] = self.pending_kernel_ns
+    @property
+    def pending_kernel_ns(self) -> float:
+        """Kernel overhead incurred on this process's behalf that has not
+        yet been charged against its quantum budget."""
+        pages = self.pages
+        return pages.table.debt[pages.seg].item()
 
     def charge_kernel(self, ns: float) -> None:
         """Queue kernel time to deduct from the next quantum's budget."""
         if ns < 0:
             raise ValueError("kernel time cannot be negative")
-        self.pending_kernel_ns += ns
-        cell = self._debt_cell
-        if cell is not None:
-            cell[self._debt_index] = self.pending_kernel_ns
+        pages = self.pages
+        pages.table.debt[pages.seg] += ns
 
     def drain_pending_kernel(self, budget_ns: float) -> float:
         """Consume up to ``budget_ns`` of queued kernel time; return used."""
-        used = min(self.pending_kernel_ns, budget_ns)
-        self.pending_kernel_ns -= used
+        pages = self.pages
+        debt, seg = pages.table.debt, pages.seg
+        pending = debt[seg].item()
+        used = min(pending, budget_ns)
+        debt[seg] = pending - used
         self.stats.kernel_time_ns += used
-        cell = self._debt_cell
-        if cell is not None:
-            cell[self._debt_index] = self.pending_kernel_ns
         return used
 
     def dram_page_percentage(self) -> float:

@@ -39,6 +39,7 @@ from repro.mem.tier import FAST_TIER, SLOW_TIER, dram_spec, optane_spec
 from repro.policies.registry import policy_names
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from repro.vm.page_state import PageTable
 from tests import transient_oracle as oracle
 from tests.conftest import make_kernel, make_process
 
@@ -108,7 +109,7 @@ class TestAgingOracle:
                 )
             assert_pages_equal(p_f, p_s)
             np.testing.assert_array_equal(
-                lru_f._misses(p_f), lru_s._misses(p_s)
+                p_f.pages.lru_misses, p_s.pages.lru_misses
             )
         # The fleet pass drew exactly the numbers the per-process calls
         # would have: both generators sit at the same stream position.
@@ -573,10 +574,10 @@ def fleet_layout(draw):
 
 
 class TestSegmentOffsetProperties:
-    """Segment-offset repair: fleet passes concatenate per-process
-    arrays, select on global indices, and split back per owner.  The
-    invariant is that every selected page lands in its owner's own vpn
-    space -- no cross-segment bleed, no out-of-range vpns."""
+    """Segment-offset repair: fleet passes select on a page table's
+    global indices and split back per owner.  The invariant is that
+    every selected page lands in its owner's own vpn space -- no
+    cross-segment bleed, no out-of-range vpns."""
 
     @given(layout=fleet_layout(), n_pages=st.integers(1, 200))
     @settings(max_examples=30, deadline=None)
@@ -593,6 +594,7 @@ class TestSegmentOffsetProperties:
             pages.lru_active[:] = rng.random(size) < 0.4
             pages.lru_gen[:] = rng.integers(0, 5_000, size)
             processes.append(process)
+        PageTable([p.pages for p in processes])
 
         lru = LruLists(RngStreams(paint_seed).get("lru"))
         first, second = lru.coldest_pages_two_phase(

@@ -84,7 +84,7 @@ class TestProbing:
 
 
 class TestTwoRoundCollection:
-    def test_round_one_reprotects_at_fault_time(self):
+    def test_round_one_reprotects_at_the_next_boundary(self):
         collector = make_collector()
         process = make_process(n_pages=64)
         collector.probe_process(process, now_ns=0)
@@ -94,11 +94,12 @@ class TestTwoRoundCollection:
             np.array([vpn]),
             np.array([5_000]),
             np.array([5_000]),
+            quantum_ns=2_000,
         )
         # Still probed, re-protected, nothing recorded yet.
         assert process.pages.probed[vpn]
         assert process.pages.prot_none[vpn]
-        assert process.pages.scan_ts_ns[vpn] == 5_000
+        assert process.pages.scan_ts_ns[vpn] == 6_000
         assert collector.samples_recorded == 0
 
     def test_round_two_records_max(self):
@@ -107,10 +108,12 @@ class TestTwoRoundCollection:
         collector.probe_process(process, now_ns=0)
         vpn = int(np.flatnonzero(process.pages.probed)[0])
         collector.on_probed_fault(
-            process, np.array([vpn]), np.array([1_500]), np.array([1_500])
+            process, np.array([vpn]), np.array([1_500]), np.array([1_500]),
+            quantum_ns=1_000,
         )
         collector.on_probed_fault(
-            process, np.array([vpn]), np.array([7_000]), np.array([9_000])
+            process, np.array([vpn]), np.array([7_000]), np.array([9_000]),
+            quantum_ns=1_000,
         )
         assert not process.pages.probed[vpn]
         assert collector.samples_recorded == 1
@@ -126,7 +129,7 @@ class TestTwoRoundCollection:
         for _ in range(2):  # two rounds
             collector.on_probed_fault(
                 process, vpns, np.full(vpns.size, 500),
-                np.full(vpns.size, 500),
+                np.full(vpns.size, 500), quantum_ns=1_000,
             )
         fast_mass = collector.heat_maps[FAST_TIER].sum()
         slow_mass = collector.heat_maps[SLOW_TIER].sum()

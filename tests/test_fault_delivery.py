@@ -1,7 +1,7 @@
 """One hint-fault delivery per quantum, held to its per-process oracle.
 
 The arena resolves every touched page of a quantum in one pass over the
-fleet arrays that every ``PageState``'s fault-path fields are slices of,
+kernel's page table, which every ``PageState``'s fields are slices of,
 then hands the kernel one :class:`~repro.vm.fault.FleetFaults`; the
 kernel books it per process and makes one ``policy.on_faults`` call.
 That is exact under the fault-hook contract of ``TieringPolicy``:
@@ -14,9 +14,9 @@ That is exact under the fault-hook contract of ``TieringPolicy``:
   equals its per-process rule applied tenant by tenant (kept here as
   ``linux_nb_on_fault``), on hand-built fleets that reach each branch
   of the rule;
-* the fleet arrays are owned by one arena at a time: a second arena
-  over the same processes re-homes their arrays, and the first then
-  refuses to step.
+* the kernel records the one arena that steps it: a second arena over
+  the same kernel reads the same table without copying it, and the
+  first then refuses to step.
 
 Also checked here: the kernel's fleet delivery and the dynamic-row
 calendar.
@@ -37,6 +37,7 @@ from repro.policies.linux_nb import LinuxNUMABalancing
 from repro.policies.registry import policy_names
 from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.vm.fault import FaultBatch, FleetFaults
+from repro.vm.page_state import PageTable
 from repro.vm.process import SimProcess
 from repro.workloads.base import TraceWorkload
 from tests.arena_oracle import resolve_reference
@@ -128,32 +129,16 @@ def linux_nb_on_fault(policy, process, batch):
     kernel.migration.promote(process, slow)
 
 
-def fleet_homed(processes):
-    """Re-home the processes' fault-path arrays into one fleet array,
-    as an arena does; returns the fleet tier array and the offsets."""
-    sizes = [p.pages.n_pages for p in processes]
-    starts = np.r_[0, np.cumsum(sizes)]
-    total = int(starts[-1])
-    tier = np.empty(total, dtype=np.int8)
-    prot_none = np.empty(total, dtype=bool)
-    scan_ts = np.empty(total, dtype=np.int64)
-    accessed = np.empty(total, dtype=bool)
-    for i, process in enumerate(processes):
-        lo, hi = starts[i], starts[i + 1]
-        process.pages.rehome(
-            tier[lo:hi], prot_none[lo:hi], scan_ts[lo:hi], accessed[lo:hi]
-        )
-    return tier, starts
-
-
 def fleet_faults(processes, faulted):
     """A fleet delivery of ``faulted`` (one vpn list per process,
-    empty for processes that did not fault)."""
-    tier, starts = fleet_homed(processes)
+    empty for processes that did not fault), indexing the page table
+    the processes share as an arena's delivery does."""
+    table = processes[0].pages.table
+    assert all(p.pages.table is table for p in processes)
     listed = [(p, v) for p, v in zip(processes, faulted) if len(v)]
     vpns = [np.asarray(v, dtype=np.int64) for _, v in listed]
     index = [
-        starts[processes.index(p)] + v for (p, _), v in zip(listed, vpns)
+        table.starts[p.pages.seg] + v for (p, _), v in zip(listed, vpns)
     ]
     n = np.array([v.size for v in vpns], dtype=np.int64)
     flat = np.concatenate(vpns)
@@ -163,7 +148,7 @@ def fleet_faults(processes, faulted):
         vpns=flat,
         fault_ts_ns=np.full(flat.size, 1_000, dtype=np.int64),
         cit_ns=np.full(flat.size, 100, dtype=np.int64),
-        fleet_tier=tier,
+        fleet_tier=table.tier,
         fleet_index=np.concatenate(index),
     )
 
@@ -334,7 +319,7 @@ class TestLinuxNBOnFaults:
 
 
 # ---------------------------------------------------------------------------
-# Arena ownership of the fleet arrays
+# The arena on the kernel's page table
 # ---------------------------------------------------------------------------
 class TestFleetArrays:
     @staticmethod
@@ -348,23 +333,21 @@ class TestFleetArrays:
 
     FIELDS = ("tier", "prot_none", "scan_ts_ns", "accessed")
 
-    def test_page_arrays_are_views_of_the_arena(self):
+    def test_the_arena_reads_the_page_table_in_place(self):
         kernel, processes = self._fleet()
         processes[1].pages.protect(np.array([3, 5]), now_ns=7)
-        before = [
-            [getattr(p.pages, f).copy() for f in self.FIELDS]
-            for p in processes
-        ]
         arena = ProcessArena(QuantumEngine(kernel))
-        for process, saved in zip(processes, before):
-            for field, value in zip(self.FIELDS, saved):
-                current = getattr(process.pages, field)
-                assert np.shares_memory(current, getattr(arena, field))
-                np.testing.assert_array_equal(current, value)
+        table = arena.table
+        assert table is kernel.page_table
+        for process in processes:
+            for field in self.FIELDS:
+                assert np.shares_memory(
+                    getattr(process.pages, field), getattr(table, field)
+                )
         # Writes through either side show on the other.
         processes[2].pages.move_to_tier(np.array([0]), SLOW_TIER)
-        assert arena.tier[arena.seg_starts[2]] == SLOW_TIER
-        arena.accessed[arena.seg_starts[1] + 4] = True
+        assert table.tier[arena.seg_starts[2]] == SLOW_TIER
+        table.accessed[arena.seg_starts[1] + 4] = True
         assert processes[1].pages.accessed[4]
 
     def test_one_resolve_pass_and_one_delivery(self):
@@ -392,17 +375,15 @@ class TestFleetArrays:
             assert pages.protect_epoch == epoch + 1
             assert cits == [t - k for t in fault_ts]
 
-    def test_second_arena_rehomes_and_first_refuses_to_step(self):
-        kernel, processes = self._fleet()
+    def test_second_arena_copies_nothing_and_supersedes_the_first(self):
+        """The superseded arena refuses to step and the newer one steps
+        (the full check lives in ``tests/test_page_table.py``)."""
+        kernel, _ = self._fleet()
         first = ProcessArena(QuantumEngine(kernel))
         first.step(0, 10 * MILLISECOND)
         second = ProcessArena(QuantumEngine(kernel))
-        for process in processes:
-            for field in self.FIELDS:
-                current = getattr(process.pages, field)
-                assert np.shares_memory(current, getattr(second, field))
-                assert not np.shares_memory(current, getattr(first, field))
-        with pytest.raises(RuntimeError, match="adopted"):
+        assert second.table is first.table
+        with pytest.raises(RuntimeError, match="later arena"):
             first.step(10 * MILLISECOND, 10 * MILLISECOND)
         second.step(10 * MILLISECOND, 10 * MILLISECOND)
 
@@ -442,6 +423,7 @@ class TestDeliverFaults:
         processes = [make_process(pid=k + 1) for k in range(3)]
         for process in processes:
             kernel.register_process(process)
+        kernel.page_table  # binds the registered processes
         faults = fleet_faults(processes, [[1, 2], [], [0, 5, 9]])
         kernel.deliver_faults(faults)
         cost = kernel.machine.spec.effective_fault_cost_ns
@@ -459,6 +441,7 @@ class TestDeliverFaults:
 
     def test_fleet_tiers_read_through_the_fleet_array(self):
         processes = [make_process(pid=k + 1) for k in range(2)]
+        PageTable([p.pages for p in processes])
         faults = fleet_faults(processes, [[3], [4, 7]])
         processes[1].pages.move_to_tier(np.array([7]), FAST_TIER)
         assert faults.tiers().tolist() == [

@@ -294,12 +294,13 @@ class TestProtectLog:
         assert pages._protect_log is None
         assert pages.take_protect_log() is None
 
-    def test_detach_unhooks_logs_and_witness_cells(self):
+    def test_detach_unhooks_logs_and_the_kernels_arena(self):
         result = run_policy("linux-nb", **CONTENDED)
         assert result.stats["hint_faults"] > 0
+        assert result.kernel.arena is None
         for proc in result.kernel.processes:
             assert proc.pages._protect_log is None
-            assert proc.pages._witness_cells is None
+            assert proc.pages._ledger_source is None
 
 
 class TestPlanCounters:

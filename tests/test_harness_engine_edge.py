@@ -25,8 +25,15 @@ def build_kernel_with(processes, fast_pages=128, slow_pages=1024):
 
 class TestContentionFeedback:
     def test_saturation_self_limits(self):
-        """When the slow tier saturates, throughput converges instead of
-        oscillating (the demand-latency feedback loop is stable)."""
+        """When the slow tier saturates, throughput settles instead of
+        oscillating: the last two half-second windows complete the same
+        number of accesses.
+
+        This config drives the slow tier far past its bandwidth, so the
+        contention multiplier sits at its cap (``MAX_CONTENTION``) at
+        every window edge: the test checks the capped steady state, not
+        the feedback loop's convergence below the cap.
+        """
         spec = MachineSpec(
             tiers=(
                 dram_spec(64),
@@ -42,11 +49,14 @@ class TestContentionFeedback:
             kernel.register_process(p)
         kernel.allocate_initial_placement()
         engine = QuantumEngine(kernel, quantum_ns=20 * MILLISECOND)
-        engine.run(2 * SECOND)
-        # Quantum-to-quantum throughput at the end is stable: compare the
-        # last two half-second windows.
-        total = sum(p.stats.accesses for p in procs)
-        assert total > 0
+        windows = []
+        for duration in (SECOND, SECOND // 2, SECOND // 2):
+            before = sum(p.stats.accesses for p in procs)
+            engine.run(duration)
+            windows.append(sum(p.stats.accesses for p in procs) - before)
+            assert engine._multipliers[SLOW_TIER] == machine.MAX_CONTENTION
+        assert windows[-1] > 0
+        assert windows[-1] == pytest.approx(windows[-2], rel=1e-9)
         # Latency reflects heavy contention on the slow tier.
         assert engine.latency.mean() > machine.slow.spec.read_latency_ns
 

@@ -6,6 +6,7 @@ import pytest
 from repro.kernel.lru import LruLists
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.rng import RngStreams
+from repro.vm.page_state import PageTable
 from tests.conftest import make_process
 
 
@@ -98,6 +99,7 @@ class TestColdestSelection:
             proc.pages.tier[:] = FAST_TIER
             proc.pages.lru_active[:] = False
             proc.pages.lru_gen[:] = gen
+        PageTable([old.pages, new.pages])
         first, second = lru.coldest_pages_two_phase(
             [old, new], FAST_TIER, 4
         )
@@ -115,3 +117,20 @@ class TestColdestSelection:
         assert lru.coldest_pages_two_phase(
             [process], FAST_TIER, 10
         ) == ([], [])
+
+
+class TestOneTable:
+    def test_processes_of_different_tables_are_rejected(self, lru):
+        """Fleet passes read one table in place: processes bound to
+        separate tables cannot be ranked together."""
+        processes = [make_process(pid=1), make_process(pid=2)]
+        with pytest.raises(ValueError, match="one page table"):
+            lru.coldest_pages_two_phase(processes, FAST_TIER, 4)
+        with pytest.raises(ValueError, match="one page table"):
+            lru.age_fleet(processes, now_ns=1)
+
+    def test_selection_needs_the_whole_table(self, lru):
+        processes = [make_process(pid=1), make_process(pid=2)]
+        PageTable([p.pages for p in processes])
+        with pytest.raises(ValueError, match="whole table"):
+            lru.coldest_pages_two_phase(processes[::-1], FAST_TIER, 4)

@@ -429,10 +429,9 @@ class TestArenaMassRepairProperties:
                 int(arena.seg_starts[i]),
                 int(arena.seg_starts[i + 1]),
             )
-            assert np.shares_memory(arena.tier[lo:hi], process.pages.tier)
-            np.testing.assert_array_equal(
-                arena.tier[lo:hi], process.pages.tier
-            )
+            tier = arena.table.tier[lo:hi]
+            assert np.shares_memory(tier, process.pages.tier)
+            np.testing.assert_array_equal(tier, process.pages.tier)
 
 
 class TestPageProtectionInvariants:

@@ -65,7 +65,7 @@ def age_process(lru, process, now_ns: int) -> np.ndarray:
     candidates |= pages.accessed
     candidates |= pages.lru_active
     idx = np.flatnonzero(candidates)
-    misses = lru._misses(process)
+    misses = pages.lru_misses
 
     if idx.size == n_pages:
         # Dense pass, bitwise identical to the historical full scan.
@@ -255,10 +255,20 @@ def coldest_pages(
         )
         mask &= ~active
     gens = np.concatenate([p.pages.lru_gen for p in processes])
-    starts = lru._fleet_starts(processes)
+    starts = _fleet_starts(processes)
     return lru._select_coldest(
         processes, mask, gens, starts, n_pages
     )
+
+
+def _fleet_starts(processes: Sequence) -> np.ndarray:
+    """Offsets of each process's pages in the concatenation."""
+    starts = np.zeros(len(processes) + 1, dtype=np.int64)
+    np.cumsum(
+        np.array([p.pages.n_pages for p in processes], dtype=np.int64),
+        out=starts[1:],
+    )
+    return starts
 
 
 def coldest_pages_two_phase(lru, processes, tier_id: int, n_pages: int):
