@@ -7,8 +7,8 @@ a segment-by-segment fault resolve and delivery.
 straightforward way: a Python gather loop that advances every row and
 checks its placement epoch and kernel debt, a full pricing fold over all
 segments, the arena's fault phase, and a full recompute of the ledger,
-stat, latency and demand folds.  No witness cells, row calendar or
-steady-state cache are consulted.
+stat, latency and demand folds.  No per-segment vector of the page
+table, row calendar or steady-state cache is consulted.
 
 :meth:`ProcessArena.step` must reproduce this function bit for bit on
 every fleet, one process included.  Tests install it in place of the

@@ -1,9 +1,9 @@
 """The one arena step against its test oracle and the reference engine.
 
 ``ProcessArena.step`` (``repro.harness.arena``, docs/SIMULATION.md
-section 7) gathers over write-through witness cells, visits only the
-rows its calendar says are due, prices every row in one fold and
-caches steady-state quanta.  Its contract:
+section 7) gathers over the page table's per-segment vectors, visits
+only the rows its calendar says are due, prices every row in one fold
+and caches steady-state quanta.  Its contract:
 
 1. it executes the same IEEE-754 operations and consumes the same RNG
    stream as the test oracle (``tests/arena_oracle.py``, a per-segment
