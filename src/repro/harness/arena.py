@@ -1218,7 +1218,7 @@ class FaultPlan:
                 touched - seg_starts[seg],
                 offsets,
                 cit,
-                table.tier,
+                table,
                 touched,
             )
         )

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.vm.page_state import PageTable
     from repro.vm.process import SimProcess
 
 NUMA_HINT_FAULT: str = "numa_hint"
@@ -79,12 +80,12 @@ class FleetFaults:
 
     Process ``processes[k]`` -- in segment order, each listed once and
     only if it faulted -- took faults ``bounds[k]:bounds[k + 1]`` of the
-    parallel ``vpns``, ``fault_ts_ns`` and ``cit_ns`` arrays (each
-    process's slice is the :class:`FaultBatch` it would get on its own).
-    ``fleet_index[j]`` locates fault ``j``'s page in ``fleet_tier``, an
-    array that aliases every listed process's ``pages.tier`` (the
-    arena's fleet tier array, or the one process's own), so
-    :meth:`tiers` reads every faulted page's current tier in one gather.
+    parallel ``vpns``, ``fault_ts_ns``, ``cit_ns`` and ``index`` arrays
+    (each process's slice is the :class:`FaultBatch` it would get on its
+    own).  ``index[j]`` is fault ``j``'s global page index in ``table``,
+    the :class:`~repro.vm.page_state.PageTable` every listed process's
+    page state is a segment of, so a fleet pass reads or writes any page
+    field of every faulted page in one gather or scatter.
     """
 
     processes: List["SimProcess"]
@@ -92,21 +93,24 @@ class FleetFaults:
     vpns: np.ndarray
     fault_ts_ns: np.ndarray
     cit_ns: np.ndarray
-    fleet_tier: np.ndarray
-    fleet_index: np.ndarray
+    table: "PageTable"
+    index: np.ndarray
 
     @classmethod
     def single(cls, process: "SimProcess", batch: FaultBatch) -> "FleetFaults":
         """One process's batch as a fleet delivery (none if it is empty)."""
         n = batch.n_faults
+        pages = process.pages
+        table = pages.table
         return cls(
             processes=[process] if n else [],
             bounds=np.array([0, n] if n else [0], dtype=np.int64),
             vpns=batch.vpns,
             fault_ts_ns=batch.fault_ts_ns,
             cit_ns=batch.cit_ns,
-            fleet_tier=process.pages.tier,
-            fleet_index=batch.vpns,
+            table=table,
+            index=np.asarray(batch.vpns, dtype=np.int64)
+            + table.starts[pages.seg],
         )
 
     @property
@@ -119,7 +123,11 @@ class FleetFaults:
 
     def tiers(self) -> np.ndarray:
         """The current tier of every faulted page, in fault order."""
-        return self.fleet_tier[self.fleet_index]
+        return self.table.tier[self.index]
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """The listed-process position ``k`` of each fault in ``rows``."""
+        return np.searchsorted(self.bounds, rows, side="right") - 1
 
     def batch(self, k: int) -> FaultBatch:
         """Listed process ``k``'s faults as its own batch."""

@@ -8,7 +8,24 @@ from repro.core.dcsc import DcscCollector, DcscConfig
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from repro.vm.fault import FaultBatch, FleetFaults
 from tests.conftest import make_process
+
+
+def probed_faults(collector, process, vpns, cit_ns, fault_ts_ns, quantum_ns):
+    """Feed faults on probed pages of ``process`` to the collector, as
+    the one-process delivery a fault pass hands it."""
+    vpns = np.asarray(vpns)
+    faults = FleetFaults.single(
+        process,
+        FaultBatch(
+            process.pid,
+            vpns,
+            np.asarray(fault_ts_ns, dtype=np.int64),
+            np.asarray(cit_ns, dtype=np.int64),
+        ),
+    )
+    collector.on_probed_fault(faults, np.arange(vpns.size), quantum_ns)
 
 
 def make_collector(**config_overrides):
@@ -76,6 +93,29 @@ class TestProbing:
         assert collector.heat_maps[SLOW_TIER][-1] > 0
         assert collector.samples_recorded > 0
 
+    def test_expiry_reads_only_live_probes(self):
+        """A probe that completed its rounds, or was probed again since,
+        does not expire on its old log entry."""
+        collector = make_collector(probe_timeout_ns=10, victim_fraction=0.5)
+        process = make_process(n_pages=16)
+        collector.probe_process(process, now_ns=0)
+        vpns = np.flatnonzero(process.pages.probed)
+        for ts in (100, 200):  # two rounds: every probe completes
+            probed_faults(
+                collector, process, vpns, np.full(vpns.size, 50),
+                np.full(vpns.size, ts), quantum_ns=1_000,
+            )
+        assert not process.pages.probed.any()
+        recorded = collector.samples_recorded
+        assert recorded == vpns.size
+        again = collector.probe_process(process, now_ns=1_000)
+        assert again > 0
+        # The first probes' entries are dead: nothing expires at 1,000.
+        assert collector.samples_recorded == recorded
+        assert process.pages.probed.sum() == again
+        collector.probe_process(process, now_ns=5_000)
+        assert collector.samples_recorded == recorded + again
+
     def test_decay(self):
         collector = make_collector(decay=0.5)
         collector.heat_maps[FAST_TIER][3] = 8.0
@@ -89,7 +129,8 @@ class TestTwoRoundCollection:
         process = make_process(n_pages=64)
         collector.probe_process(process, now_ns=0)
         vpn = int(np.flatnonzero(process.pages.probed)[0])
-        collector.on_probed_fault(
+        probed_faults(
+            collector,
             process,
             np.array([vpn]),
             np.array([5_000]),
@@ -107,13 +148,13 @@ class TestTwoRoundCollection:
         process = make_process(n_pages=64)
         collector.probe_process(process, now_ns=0)
         vpn = int(np.flatnonzero(process.pages.probed)[0])
-        collector.on_probed_fault(
-            process, np.array([vpn]), np.array([1_500]), np.array([1_500]),
-            quantum_ns=1_000,
+        probed_faults(
+            collector, process, np.array([vpn]), np.array([1_500]),
+            np.array([1_500]), quantum_ns=1_000,
         )
-        collector.on_probed_fault(
-            process, np.array([vpn]), np.array([7_000]), np.array([9_000]),
-            quantum_ns=1_000,
+        probed_faults(
+            collector, process, np.array([vpn]), np.array([7_000]),
+            np.array([9_000]), quantum_ns=1_000,
         )
         assert not process.pages.probed[vpn]
         assert collector.samples_recorded == 1
@@ -127,8 +168,8 @@ class TestTwoRoundCollection:
         collector.probe_process(process, now_ns=0)
         vpns = np.flatnonzero(process.pages.probed)
         for _ in range(2):  # two rounds
-            collector.on_probed_fault(
-                process, vpns, np.full(vpns.size, 500),
+            probed_faults(
+                collector, process, vpns, np.full(vpns.size, 500),
                 np.full(vpns.size, 500), quantum_ns=1_000,
             )
         fast_mass = collector.heat_maps[FAST_TIER].sum()

@@ -8,6 +8,7 @@ from repro.harness.engine import QuantumEngine
 from repro.sim.rng import RngStreams
 from repro.vm.fault import FaultBatch
 from tests.conftest import make_kernel, make_process
+from tests.test_core_dcsc import probed_faults
 
 
 def make_collector():
@@ -24,8 +25,8 @@ class TestRequantize:
         collector.probe_process(process, now_ns=0)
         vpn = int(np.flatnonzero(process.pages.probed)[0])
         # Fault mid-quantum at t = 2_300.
-        collector.on_probed_fault(
-            process, np.array([vpn]), np.array([2_300]),
+        probed_faults(
+            collector, process, np.array([vpn]), np.array([2_300]),
             np.array([2_300]), quantum_ns=1_000,
         )
         # Re-protection stamped at the *next* boundary (3_000).
@@ -36,8 +37,8 @@ class TestRequantize:
         process = make_process(n_pages=32)
         collector.probe_process(process, now_ns=0)
         vpn = int(np.flatnonzero(process.pages.probed)[0])
-        collector.on_probed_fault(
-            process, np.array([vpn]), np.array([2_000]),
+        probed_faults(
+            collector, process, np.array([vpn]), np.array([2_000]),
             np.array([2_000]), quantum_ns=1_000,
         )
         assert process.pages.scan_ts_ns[vpn] == 3_000

@@ -116,7 +116,7 @@ class TestStaleQueueEntries:
         kernel.register_process(process)
         kernel.machine.slow.allocate(64)
         queue = PromotionQueue(1000.0)
-        queue.enqueue(process, np.array([1, 2, 3]))
+        queue.enqueue([process], np.array([1, 2, 3]))
         # Page 2 gets promoted through another path first.
         kernel.migration.promote(process, np.array([2]))
         for proc, vpns in queue.drain(SECOND):

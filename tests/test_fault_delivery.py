@@ -148,8 +148,8 @@ def fleet_faults(processes, faulted):
         vpns=flat,
         fault_ts_ns=np.full(flat.size, 1_000, dtype=np.int64),
         cit_ns=np.full(flat.size, 100, dtype=np.int64),
-        fleet_tier=table.tier,
-        fleet_index=np.concatenate(index),
+        table=table,
+        index=np.concatenate(index),
     )
 
 
@@ -439,7 +439,7 @@ class TestDeliverFaults:
             for call in policy.calls
         ] == [[(1, [1, 2]), (3, [0, 5, 9])]]
 
-    def test_fleet_tiers_read_through_the_fleet_array(self):
+    def test_fleet_tiers_read_through_the_page_table(self):
         processes = [make_process(pid=k + 1) for k in range(2)]
         PageTable([p.pages for p in processes])
         faults = fleet_faults(processes, [[3], [4, 7]])

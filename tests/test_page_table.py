@@ -140,7 +140,8 @@ class TestStandalone:
         assert pages.tier.dtype == np.int8
         assert (pages.tier == SLOW_TIER).all()
         assert (pages.scan_ts_ns == NO_TIMESTAMP).all()
-        assert (pages.candidate_cit_ns == NO_TIMESTAMP).all()
+        # the filter's running max: 0 while the page is no candidate
+        assert not pages.candidate_cit_ns.any() and not pages.candidate.any()
         assert not pages.prot_none.any() and not pages.lru_active.any()
         assert pages.lru_misses.dtype == np.int32
         assert pages.table.n_segs == 1 and pages.seg == 0

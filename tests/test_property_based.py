@@ -138,7 +138,7 @@ class TestPromotionQueueProperties:
     def test_drain_conserves_pages(self, vpns, rate):
         process = make_process(n_pages=64)
         queue = PromotionQueue(float(rate))
-        queue.enqueue(process, np.array(vpns))
+        queue.enqueue([process], np.array(vpns))
         unique = len(set(vpns))
         assert len(queue) == unique
         drained = 0
@@ -173,13 +173,14 @@ class TestCandidateFilterProperties:
         below_streak = {vpn: 0 for vpn in range(32)}
         for vpn, cit in observations:
             result = filt.observe(
-                process, np.array([vpn]), np.array([cit]), threshold
+                process.pages.table, np.array([vpn]), np.array([cit]),
+                threshold,
             )
             if cit < threshold:
                 below_streak[vpn] += 1
             else:
                 below_streak[vpn] = 0
-            for ready in result.ready_vpns:
+            for ready in result.ready:
                 # A ready page's last n observations were all below the
                 # threshold.
                 assert below_streak[int(ready)] >= n_rounds
