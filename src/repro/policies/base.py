@@ -7,7 +7,8 @@ A policy's contract with the kernel:
 * ``start()`` -- called from :meth:`Kernel.start`; schedule daemons here.
 * ``on_faults(faults)`` -- every NUMA hint fault the fleet took this
   quantum, in one call; the default hands each faulting process's batch
-  to ``on_fault(process, batch)``, in segment order.
+  to ``on_fault(process, batch)``, in segment order (Linux-NB and
+  Chrono override it with fleet passes).
 * ``on_quantum(process, probs, n_accesses, start_ns, quantum_ns)`` --
   per-quantum traffic summary (PEBS-style policies sample from it).
 * ``on_lru_age(process, touched, now_ns)`` -- one LRU aging pass finished
@@ -118,11 +119,15 @@ class TieringPolicy(ABC):
     another process's ``prot_none`` or ``scan_ts_ns`` -- true of every
     registered policy: AutoTiering's and Memtis's synchronous demotions
     move tiers only, and Chrono's ``mark_demoted`` re-protection runs
-    from its drain timer and from kswapd, never from ``on_fault``.  A
-    policy that overrides ``on_faults`` (Linux-NB) must equal that
-    per-process loop.  ``tests/test_fault_delivery.py`` enforces both
-    for every registered policy against the per-segment loop in
-    ``tests/arena_oracle.py``.
+    from its drain timer and from kswapd, never from a fault hook.  A
+    policy that overrides ``on_faults`` must equal that per-process
+    loop: Linux-NB, whose pass hands only the tenants that can still
+    promote to its ``on_fault``, and Chrono, whose pass handles the
+    whole fleet on the page table.  ``tests/test_fault_delivery.py``
+    enforces the contract for every registered policy against the
+    per-segment loop in ``tests/arena_oracle.py``, and
+    ``tests/test_chrono_fleet.py`` holds Chrono's pass to its
+    process-by-process form in ``tests/chrono_oracle.py``.
     """
 
     name: str = "abstract"
